@@ -11,7 +11,6 @@ the symmetric group on 2k points has order divisible by both.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import factorial, isqrt, lcm
 
@@ -274,14 +273,6 @@ class VerdictLink:
     status: str  # "pass", "fail", or "cited"
     witness: str
 
-    def as_dict(self) -> dict[str, str]:
-        return {
-            "link": self.link,
-            "statement": self.statement,
-            "status": self.status,
-            "witness": self.witness,
-        }
-
 
 @dataclass(frozen=True)
 class NonCayleyVerdict:
@@ -289,20 +280,21 @@ class NonCayleyVerdict:
     links: tuple[VerdictLink, ...]
     is_cayley_possible: bool
 
-    def to_json(self) -> str:
-        return json.dumps([l.as_dict() for l in self.links], indent=2)
 
-
-def non_cayley_verdict(k: int, graph: DerangementGraph | None = None) -> NonCayleyVerdict:
+def non_cayley_verdict(k: int, graph: DerangementGraph | None) -> NonCayleyVerdict:
     """Assemble the non-Cayley argument as individually checkable links.
 
     Computable links are computed; the two purely group-theoretic steps
     (odd order implies solvable, solvable implies a Hall subgroup for
     any pair of primes dividing the order) are emitted with status
-    "cited" so the report never pretends to have proved them.
+    "cited" so the report never pretends to have proved them.  The
+    automorphism search needs the graph for k <= 4; above that the
+    search is capped, the link is cited and ``graph`` may be None.
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
+    if k <= 4 and graph is None:
+        raise ValueError(f"the automorphism search at k={k} needs the graph")
     links: list[VerdictLink] = []
     n = matching_count(k)
     links.append(
@@ -379,12 +371,7 @@ def non_cayley_verdict(k: int, graph: DerangementGraph | None = None) -> NonCayl
         )
     )
     if k <= 4:
-        g = graph
-        if g is None:
-            from .graphs import build_graph
-
-            g = build_graph(k)
-        order = derangement_automorphism_order(g)
+        order = derangement_automorphism_order(graph)
         expect = factorial(2 * k)
         links.append(
             VerdictLink(

@@ -156,15 +156,3 @@ def matching_scheme_labels(k: int) -> list[Partition]:
         raise ValueError(f"k must be >= 1, got {k}")
     return [p.doubled() for p in partitions_of(k)]
 
-
-def johnson_scheme_labels(n: int, k: int) -> list[Partition]:
-    """Two-row labels [n-i, i] for i = 0..k of the Johnson/Kneser scheme."""
-    if n < 2 * k:
-        raise ValueError(f"need n >= 2k, got n={n}, k={k}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return [Partition([n - i, i]) if i else Partition([n]) for i in range(k + 1)]
-
-
-def label_dimension_sum(labels: list[Partition]) -> int:
-    return sum(hook_dimension(p) for p in labels)

@@ -3,19 +3,25 @@
 Every command produces a flat list of verification records rendered as
 text, JSON, or CSV.  Output is deterministic for fixed inputs; elapsed
 times are all zero unless --timings is given, precisely so that byte
-identity holds across runs.  Exit codes: 0 when no record failed, 2 on
-usage errors, 3 when a size cap was hit (the message names the cap).
+identity holds across runs.  Exit codes: 0 when no record failed, 1 when
+one did, 2 on usage errors (including an out-of-range or empty
+selection), 3 when a size cap was hit (the message names the cap).  Codes
+2 and 3 are decided from the command table before any work starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
 from math import comb, factorial
 
+from .cayley import (
+    coclique_linegraph_map,
+    induced_vertex_permutation,
+    non_cayley_verdict,
+)
 from .characters import (
     closed_form_degrees,
     hook_dimension,
@@ -26,6 +32,7 @@ from .characters import (
 from .exact import ExactMatrix
 from .graphs import (
     GRAPH_CAP,
+    SUBSET_GRAPH_CAP,
     build_graph,
     canonical_partition,
     clique_coclique_check,
@@ -38,7 +45,7 @@ from .graphs import (
     orbit_partition,
     quotient_matrix,
 )
-from .matchings import CapExceeded, double_factorial, matching_count
+from .matchings import CapExceeded, double_factorial, enumerate_matchings, matching_count
 from .partitions import partition_count, partitions_of, iter_partitions
 from .polytope import (
     facet_classification_check,
@@ -52,6 +59,7 @@ from .polytope import (
 )
 from .records import RENDERERS, VerificationRecord, check, skipped
 from .spectra import (
+    SPECTRUM_CAP,
     character_sum_eigenvalue,
     derangement_class_counts,
     derangement_spectrum,
@@ -63,9 +71,9 @@ from .spectra import (
     trace_square_check,
 )
 
-SPECTRUM_CAP = 5
-EKR_CAP = 5
-POLYTOPE_CAP = 5
+# largest k whose p(2k) partition scan runs: p(60) = 966,467 cycle types,
+# a few seconds; p(2k) grows without bound and p(400) is about 6.7e18
+SCAN_CAP = 30
 
 
 class _Clock:
@@ -82,30 +90,31 @@ class _Clock:
         return ms if self.enabled else 0
 
 
-def _counts(ks, clock) -> list[VerificationRecord]:
+# Each stage maps (selection, graph, clock) to records.  ``graph(k)`` hands
+# out M(2k), built on first use and shared by every later stage.
+
+
+def _counts(ks, graph, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
         expected = double_factorial(2 * k - 1)
         if k <= 7:
-            from .matchings import enumerate_matchings
-
             got = sum(1 for _ in enumerate_matchings(k))
             out.append(check("matching-count", {"k": k}, expected, got, clock.mark()))
         else:
             out.append(skipped("matching-count", {"k": k}, "enumeration capped at k=7"))
-        if k >= 1:
-            d = degree_formula(k)
-            if k <= 6:
-                out.append(
-                    check("degree-formula-vs-enumeration", {"k": k}, d,
-                          degree_by_enumeration(k), clock.mark())
-                )
-            terms = degree_terms(k)
-            decreasing = all(a > b for a, b in zip(terms, terms[1:]))
+        d = degree_formula(k)
+        if k <= 6:
             out.append(
-                check("degree-terms-strictly-decreasing", {"k": k}, True, decreasing,
-                      clock.mark())
+                check("degree-formula-vs-enumeration", {"k": k}, d,
+                      degree_by_enumeration(k), clock.mark())
             )
+        terms = degree_terms(k)
+        decreasing = all(a > b for a, b in zip(terms, terms[1:]))
+        out.append(
+            check("degree-terms-strictly-decreasing", {"k": k}, True, decreasing,
+                  clock.mark())
+        )
         if k >= 2:
             out.append(
                 check("degree-exceeds-union-bound", {"k": k}, True,
@@ -118,10 +127,10 @@ def _counts(ks, clock) -> list[VerificationRecord]:
     return out
 
 
-def _graph(ks, clock) -> list[VerificationRecord]:
+def _graph(ks, graph, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
-        g = build_graph(k)
+        g = graph(k)
         d = degree_formula(k)
         out.append(check("graph-degree", {"k": k}, d, g.degree, clock.mark()))
         if k <= 5:
@@ -148,8 +157,6 @@ def _graph(ks, clock) -> list[VerificationRecord]:
             check("orbit-quotient-rows-sum-to-degree", {"k": k}, True, rows_ok, clock.mark())
         )
         if k <= 4:
-            from .cayley import induced_vertex_permutation
-
             sigmas = [
                 tuple(range(2 * k))[::-1],
                 (1, 0) + tuple(range(2, 2 * k)),
@@ -168,14 +175,10 @@ def _graph(ks, clock) -> list[VerificationRecord]:
     return out
 
 
-def _ekr(ks, clock) -> list[VerificationRecord]:
+def _ekr(ks, graph, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
-        if k < 2:
-            continue
-        if k > EKR_CAP:
-            raise CapExceeded("coclique search", k, EKR_CAP)
-        g = build_graph(k)
+        g = graph(k)
         alpha, cocliques = enumerate_maximum_cocliques(g)
         out.append(
             check("coclique-number", {"k": k}, double_factorial(2 * k - 3), alpha,
@@ -214,12 +217,10 @@ def _ekr(ks, clock) -> list[VerificationRecord]:
     return out
 
 
-def _spectra(ks, clock, kneser_pairs=((5, 2),)) -> list[VerificationRecord]:
+def _spectra(ks, graph, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
-        if k > SPECTRUM_CAP:
-            raise CapExceeded("spectrum", k, SPECTRUM_CAP)
-        spec = derangement_spectrum(k)
+        spec = derangement_spectrum(graph(k))
         d = degree_formula(k)
         n = matching_count(k)
         out.append(
@@ -244,7 +245,7 @@ def _spectra(ks, clock, kneser_pairs=((5, 2),)) -> list[VerificationRecord]:
             check("module-dimensions-cover", {"k": k}, True,
                   lab.solution_count >= 1, clock.mark())
         )
-        tr = trace_square_check(k, lab)
+        tr = trace_square_check(lab)
         out.append(
             check("trace-square-identity", {"k": k}, tr.rhs, tr.lhs, clock.mark())
         )
@@ -273,24 +274,29 @@ def _spectra(ks, clock, kneser_pairs=((5, 2),)) -> list[VerificationRecord]:
                 check("character-sum-rescaled-fails-trivial", {"k": k}, True,
                       trivial.rescaled != d, clock.mark())
             )
-    for n0, k0 in kneser_pairs:
-        closed = kneser_eigenvalues(n0, k0)
-        direct = kneser_spectrum_direct(n0, k0)
+    # the Petersen graph rides along as a check of the subset route
+    return out + _subset_spectra([(5, 2)], graph, clock)
+
+
+def _subset_spectra(pairs, graph, clock) -> list[VerificationRecord]:
+    out = []
+    for n, k in pairs:
+        closed = kneser_eigenvalues(n, k)
+        direct = kneser_spectrum_direct(n, k)
         out.append(
-            check("subset-disjointness-spectrum", {"n": n0, "k": k0},
+            check("subset-disjointness-spectrum", {"n": n, "k": k},
                   str(closed), str(direct), clock.mark())
         )
     return out
 
 
-def _polytope(ks, clock) -> list[VerificationRecord]:
+def _polytope(ks, graph, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
-        if k < 2:
-            continue
-        if k > POLYTOPE_CAP:
-            raise CapExceeded("polytope checks", k, POLYTOPE_CAP)
-        gc = gram_identity_check(k)
+        g = graph(k)
+        im = incidence_matrix(g)
+        # the product route is cubic in exact rationals; run it where it is cheap
+        gc = gram_identity_check(g, im if k <= 3 else None)
         out.append(
             check("gram-identity",
                   {"k": k, "diagonal": gc.diagonal, "off_diagonal": gc.off_diagonal},
@@ -298,13 +304,11 @@ def _polytope(ks, clock) -> list[VerificationRecord]:
         )
         if k <= 4:
             out.append(
-                check("incidence-rank", {"k": k}, 2 * k * k - 3 * k + 1, rank_U(k),
+                check("incidence-rank", {"k": k}, 2 * k * k - 3 * k + 1, rank_U(im),
                       clock.mark())
             )
-            g = build_graph(k)
-            gram = gram_matrix(g)
             out.append(
-                check("gram-kernel-dimension", {"k": k}, 2 * k - 1, gram.nullity(),
+                check("gram-kernel-dimension", {"k": k}, 2 * k - 1, gram_matrix(g).nullity(),
                       clock.mark())
             )
         for s in range(3, 2 * k - 2, 2):
@@ -326,13 +330,13 @@ def _polytope(ks, clock) -> list[VerificationRecord]:
                 check("membership-barycenter", {"k": k}, True,
                       polytope_membership(bary, k).member, clock.mark())
             )
-            first = incidence_matrix(k).u.rows[0]
             out.append(
                 check("membership-matching-vertex", {"k": k}, True,
-                      polytope_membership(list(first), k).member, clock.mark())
+                      polytope_membership(list(im.u.rows[0]), k).member, clock.mark())
             )
         if k <= 4:
-            fc = facet_classification_check(k)
+            _, cocliques = enumerate_maximum_cocliques(g)
+            fc = facet_classification_check(g, im, cocliques)
             out.append(
                 check("maximum-cocliques-are-edge-facets",
                       {"k": k, "cocliques": fc.cocliques_checked},
@@ -341,11 +345,9 @@ def _polytope(ks, clock) -> list[VerificationRecord]:
     return out
 
 
-def _reps(ns, clock) -> list[VerificationRecord]:
+def _reps(ns, graph, clock) -> list[VerificationRecord]:
     out = []
     for n in ns:
-        if n < 1:
-            continue
         if n <= 10:
             total = sum(hook_dimension(p) ** 2 for p in partitions_of(n))
             out.append(
@@ -375,19 +377,11 @@ def _reps(ns, clock) -> list[VerificationRecord]:
     return out
 
 
-def _cayley(ks, clock) -> list[VerificationRecord]:
-    from .cayley import (
-        coclique_linegraph_map,
-        induced_vertex_permutation,
-        non_cayley_verdict,
-        prime_pair,
-    )
-
+def _cayley(ks, graph, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
-        if k < 3:
-            continue
-        g = build_graph(k) if k <= 4 else None
+        # the automorphism search stops at k=4; past it that link is cited
+        g = graph(k) if k <= 4 else None
         verdict = non_cayley_verdict(k, g)
         for link in verdict.links:
             if link.status == "cited":
@@ -401,7 +395,7 @@ def _cayley(ks, clock) -> list[VerificationRecord]:
             check("cayley-obstruction-complete", {"k": k}, False,
                   verdict.is_cayley_possible, clock.mark())
         )
-        if k <= 4 and g is not None:
+        if g is not None:
             sigma = (1, 0) + tuple(range(2, 2 * k))
             phi = induced_vertex_permutation(g, sigma)
             lg = coclique_linegraph_map(g, phi)
@@ -410,6 +404,24 @@ def _cayley(ks, clock) -> list[VerificationRecord]:
                       lg.preserves_sharing and lg.preserves_disjointness, clock.mark())
             )
     return out
+
+
+# command -> (parameter, stage, default range, lowest valid value,
+#             highest valid value or None, caps as (what, highest value))
+# A value outside the valid range, or an empty selection, exits 2; a value
+# past a cap exits 3.  `all` runs every other command in table order: the
+# k stages at the selected k from their own default start, reps at its
+# default range.
+COMMANDS = {
+    "counts": ("k", _counts, range(2, 6), 1, None, (("partition scan", SCAN_CAP),)),
+    "graph": ("k", _graph, range(2, 5), 1, None, (("graph build", GRAPH_CAP),)),
+    "ekr": ("k", _ekr, range(3, 5), 2, None, (("coclique search", 5),)),
+    "spectra": ("k", _spectra, range(2, 5), 2, None, (("spectrum", SPECTRUM_CAP),)),
+    "polytope": ("k", _polytope, range(2, 5), 2, None, (("polytope checks", 5),)),
+    "reps": ("n", _reps, range(1, 13), 1, 13, ()),
+    "cayley": ("k", _cayley, range(3, 5), 3, None, (("cycle-type scan", SCAN_CAP),)),
+    "all": ("k", None, range(2, 5), 2, None, ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,93 +433,109 @@ def build_parser() -> argparse.ArgumentParser:
             "and the non-Cayley obstruction."
         ),
     )
-    p.add_argument(
-        "command",
-        choices=["counts", "graph", "spectra", "ekr", "polytope", "reps", "cayley", "all"],
-    )
-    p.add_argument("--k", type=int, default=None, help="half the number of points")
+    p.add_argument("command", choices=list(COMMANDS))
+    ks = p.add_mutually_exclusive_group()
+    ks.add_argument("--k", type=int, default=None, help="half the number of points")
+    ks.add_argument("--max-k", type=int, default=None, dest="max_k",
+                    help="upper end of the k range (default: the command's own)")
     p.add_argument("--n", type=int, default=None,
                    help="symmetric group degree (reps) or ground set size (spectra)")
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p.add_argument("--max-k", type=int, default=None, dest="max_k",
-                   help="upper end of the k range (default 4)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for interface stability; execution is sequential")
     p.add_argument("--out", type=str, default=None, help="write the report to a file")
     p.add_argument("--timings", action="store_true",
                    help="include real elapsed milliseconds (breaks byte determinism)")
     return p
 
 
-def _select_ks(args, lo: int, hi_default: int) -> list[int]:
-    if args.k is not None:
-        return [args.k]
-    hi = args.max_k if args.max_k is not None else hi_default
-    return [k for k in range(lo, hi + 1)]
+def _selection(parser, args, name: str) -> range:
+    """The k values (n for reps) that ``name`` runs at; exits 2 if invalid."""
+    param, _, default, lowest, highest, _ = COMMANDS[name]
+    if param == "n":
+        if args.k is not None or args.max_k is not None:
+            parser.error(f"{name} takes --n, not --k or --max-k")
+        sel = default if args.n is None else range(args.n, args.n + 1)
+    else:
+        if args.n is not None:
+            parser.error(f"{name} takes --k or --max-k, not --n")
+        if args.k is not None:
+            sel = range(args.k, args.k + 1)
+        elif args.max_k is not None:
+            sel = range(default.start, args.max_k + 1)
+        else:
+            sel = default
+    if not sel:
+        parser.error(f"{name} selects no {param}: its range starts at {default.start}")
+    if sel[0] < lowest:
+        parser.error(f"{name} needs {param} >= {lowest}, got {param}={sel[0]}")
+    if highest is not None and sel[-1] > highest:
+        parser.error(f"{name} needs {param} <= {highest}, got {param}={sel[-1]}")
+    return sel
+
+
+def _plan(parser, args) -> list:
+    """(stage, selection) pairs in run order, checked before any work.
+
+    A usage error exits through ``parser.error``; a selection past a cap
+    raises :class:`CapExceeded`.
+    """
+    name = args.command
+    if name == "spectra" and args.n is not None:
+        if args.k is None:
+            parser.error("spectra --n selects a subset-disjointness graph and needs --k")
+        if args.k < 1 or args.n < 2 * args.k:
+            parser.error(
+                f"subset spectra need n >= 2k >= 2, got n={args.n}, k={args.k}"
+            )
+        # C(n, k) >= n here, and a huge binomial is slow even to form
+        if args.n > SUBSET_GRAPH_CAP:
+            raise CapExceeded("subset ground set", args.n, SUBSET_GRAPH_CAP)
+        size = comb(args.n, args.k)
+        if size > SUBSET_GRAPH_CAP:
+            raise CapExceeded("subset graph build", size, SUBSET_GRAPH_CAP)
+        return [(_subset_spectra, [(args.n, args.k)])]
+    sel = _selection(parser, args, name)
+    if name == "all":
+        parts = []
+        for part, (param, _, default, *_) in COMMANDS.items():
+            if part != "all":
+                parts.append(
+                    (part, default if param == "n"
+                     else range(max(sel.start, default.start), sel.stop))
+                )
+    else:
+        parts = [(name, sel)]
+    plan = []
+    for part, part_sel in parts:
+        _, stage, _, _, _, caps = COMMANDS[part]
+        for what, cap in caps:
+            if part_sel and part_sel[-1] > cap:
+                raise CapExceeded(what, part_sel[-1], cap)
+        plan.append((stage, part_sel))
+    return plan
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        plan = _plan(parser, args)
     except SystemExit as e:
         return int(e.code or 0)
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("PMDG_THREADS")
-        threads = int(env) if env else 1
-    if threads < 1:
-        parser.print_usage(sys.stderr)
-        print("pmdg: --threads must be at least 1", file=sys.stderr)
-        return 2
-
-    clock = _Clock(args.timings)
-    try:
-        if args.command == "counts":
-            records = _counts(_select_ks(args, 2, 5), clock)
-        elif args.command == "graph":
-            records = _graph(_select_ks(args, 2, 4), clock)
-        elif args.command == "ekr":
-            records = _ekr(_select_ks(args, 3, 4), clock)
-        elif args.command == "spectra":
-            pairs = [(5, 2)]
-            if args.n is not None and args.k is not None:
-                if args.k < 1 or args.n < 2 * args.k:
-                    parser.print_usage(sys.stderr)
-                    print(
-                        f"pmdg: subset spectra need n >= 2k >= 2, got n={args.n}, k={args.k}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                pairs = [(args.n, args.k)]
-                records = _spectra([], clock, kneser_pairs=pairs)
-            else:
-                records = _spectra(_select_ks(args, 2, 4), clock, kneser_pairs=pairs)
-        elif args.command == "polytope":
-            records = _polytope(_select_ks(args, 2, 4), clock)
-        elif args.command == "reps":
-            ns = [args.n] if args.n is not None else list(range(1, 13))
-            records = _reps(ns, clock)
-        elif args.command == "cayley":
-            records = _cayley(_select_ks(args, 3, 4), clock)
-        else:
-            ks = _select_ks(args, 2, 4)
-            for k in ks:
-                if k > GRAPH_CAP:
-                    raise CapExceeded("graph build", k, GRAPH_CAP)
-                if k > SPECTRUM_CAP:
-                    raise CapExceeded("spectrum", k, SPECTRUM_CAP)
-            records = []
-            records += _counts(ks, clock)
-            records += _graph([k for k in ks if k <= 6], clock)
-            records += _ekr([k for k in ks if k >= 3], clock)
-            records += _spectra(ks, clock)
-            records += _polytope(ks, clock)
-            records += _reps(list(range(1, 13)), clock)
-            records += _cayley([k for k in ks if k >= 3], clock)
     except CapExceeded as e:
         print(f"pmdg: {e}", file=sys.stderr)
         return 3
+
+    graphs = {}
+
+    def graph(k: int):
+        if k not in graphs:
+            graphs[k] = build_graph(k)
+        return graphs[k]
+
+    clock = _Clock(args.timings)
+    records = []
+    for stage, sel in plan:
+        records += stage(sel, graph, clock)
 
     text = RENDERERS[args.format](records)
     if args.out:
@@ -518,4 +546,4 @@ def run(argv=None) -> int:
     return 0 if all(r.status != "fail" for r in records) else 1
 
 
-__all__ = ["build_parser", "run"]
+__all__ = ["COMMANDS", "build_parser", "run"]

@@ -8,7 +8,6 @@ given edge, and all quotients come out as exact rational matrices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 
@@ -28,6 +27,9 @@ from .search import SearchTimeout, bit_indices, is_coclique, maximum_cocliques
 # adjacency rows at k=6 hold 10395 ints of 10395 bits (~14 MB); beyond that
 # the graph no longer fits the "desk scale" brief
 GRAPH_CAP = 6
+# vertices of a subset-disjointness graph; its spectrum is certified by
+# exact kernel ranks, which stay at desk scale up to here
+SUBSET_GRAPH_CAP = 1000
 
 Edge = tuple[int, int]
 
@@ -331,7 +333,7 @@ class KneserGraph:
 
     __slots__ = ("n", "k", "subsets", "rows")
 
-    def __init__(self, n: int, k: int, cap: int = 1000):
+    def __init__(self, n: int, k: int, cap: int = SUBSET_GRAPH_CAP):
         if k < 1 or n < k:
             raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
         if comb(n, k) > cap:
@@ -367,38 +369,9 @@ class KneserGraph:
         )
 
 
-def to_dimacs(graph: DerangementGraph) -> str:
-    """DIMACS edge-list text, vertices 1-based in enumeration order."""
-    n = graph.n_vertices
-    lines = []
-    m = 0
-    for i in range(n):
-        for j in bit_indices(graph.rows[i] >> (i + 1) << (i + 1)):
-            lines.append(f"e {i + 1} {j + 1}")
-            m += 1
-    head = [
-        f"c matching derangement graph, 2k={2 * graph.k}",
-        f"p edge {n} {m}",
-    ]
-    return "\n".join(head + lines) + "\n"
-
-
-def cocliques_to_json(
-    graph: DerangementGraph, alpha: int, cocliques: list[tuple[int, ...]]
-) -> str:
-    """Certificate of a maximum-coclique enumeration as canonical JSON."""
-    payload = {
-        "k": graph.k,
-        "n_vertices": graph.n_vertices,
-        "alpha": alpha,
-        "count": len(cocliques),
-        "cocliques": [list(c) for c in sorted(cocliques)],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 __all__ = [
     "GRAPH_CAP",
+    "SUBSET_GRAPH_CAP",
     "CliqueCocliqueRecord",
     "DerangementGraph",
     "KneserGraph",
@@ -409,7 +382,6 @@ __all__ = [
     "canonical_coclique",
     "canonical_partition",
     "clique_coclique_check",
-    "cocliques_to_json",
     "degree_by_enumeration",
     "degree_formula",
     "degree_lower_bound_check",
@@ -419,5 +391,4 @@ __all__ = [
     "orbit_partition",
     "quotient_matrix",
     "scheme_class_sizes",
-    "to_dimacs",
 ]

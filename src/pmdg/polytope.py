@@ -8,12 +8,11 @@ rational arithmetic on top of it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactMatrix, SolveResult, solve
-from .graphs import DerangementGraph, KneserGraph, build_graph
+from .exact import ExactMatrix
+from .graphs import DerangementGraph, KneserGraph
 from .matchings import (
     CapExceeded,
     all_edges,
@@ -41,13 +40,13 @@ class IncidenceMatrix:
         return self.u.ncols
 
 
-def incidence_matrix(k: int) -> IncidenceMatrix:
-    if k > 6:
-        raise CapExceeded("incidence matrix", k, 6)
+def incidence_matrix(graph: DerangementGraph) -> IncidenceMatrix:
+    """Rows follow the graph's vertex order, so row i is vertex i."""
+    k = graph.k
     edges = tuple(all_edges(k))
     col = {e: j for j, e in enumerate(edges)}
     rows = []
-    for m in enumerate_matchings(k):
+    for m in graph.vertices:
         r = [0] * len(edges)
         for e in m:
             r[col[e]] = 1
@@ -87,56 +86,47 @@ class GramCheck:
     checked_products: bool  # True when the row-by-column product was also run
 
 
-def gram_identity_check(k: int, *, multiply: bool | None = None) -> GramCheck:
+def gram_identity_check(
+    graph: DerangementGraph, incidence: IncidenceMatrix | None = None
+) -> GramCheck:
     """U^T U = (2k-3)!! I + (2k-5)!! A(2k,2), exactly.
 
-    The left side is assembled twice when ``multiply`` is on: once from
-    mask popcounts and once by actual matrix multiplication, so the fast
-    path cannot silently drift from the definition.  The identity matrix
-    here is C(2k,2) by C(2k,2): that is the only size the product admits.
+    The left side is assembled from mask popcounts and, when the
+    incidence matrix is passed, a second time by actual matrix
+    multiplication, so the fast path cannot silently drift from the
+    definition.  The identity matrix here is C(2k,2) by C(2k,2): that is
+    the only size the product admits.
     """
+    k = graph.k
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    graph = build_graph(k)
     g = gram_matrix(graph)
     a = KneserGraph(2 * k, 2).adjacency_matrix()
     diag = double_factorial(2 * k - 3)
     off = double_factorial(2 * k - 5)  # (-1)!! = 1 covers k=2
     expected = a.scale(off).add_scalar_diagonal(diag)
     holds = g == expected
-    do_mult = multiply if multiply is not None else k <= 3
-    if do_mult:
-        im = incidence_matrix(k)
-        product = im.u.transpose().mul(im.u)
+    if incidence is not None:
+        product = incidence.u.transpose().mul(incidence.u)
         holds = holds and product == g
     return GramCheck(
         k=k,
         holds=holds,
         diagonal=diag,
         off_diagonal=off,
-        checked_products=do_mult,
+        checked_products=incidence is not None,
     )
 
 
-def rank_U(k: int) -> int:
+def rank_U(incidence: IncidenceMatrix) -> int:
     """Exact rank of the incidence matrix; equals C(2k,2) - (2k-1)."""
-    im = incidence_matrix(k)
-    r = im.u.rank()
+    k = incidence.k
+    r = incidence.u.rank()
     if r != 2 * k * k - 3 * k + 1:
         raise ArithmeticError(
             f"incidence rank {r} differs from 2k^2-3k+1 = {2 * k * k - 3 * k + 1}"
         )
     return r
-
-
-def solve_in_column_space(im: IncidenceMatrix, v) -> SolveResult:
-    """Exact x with Ux = v, or an infeasibility certificate."""
-    vv = [Fraction(t) for t in v]
-    if len(vv) != im.n_matchings:
-        raise ValueError(
-            f"vector has length {len(vv)}, need {im.n_matchings}"
-        )
-    return solve(im.u, vv)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +138,6 @@ class MembershipVerdict:
     member: bool
     constraint: str | None
     detail: str | None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"member": self.member, "constraint": self.constraint, "detail": self.detail},
-            sort_keys=True,
-        )
 
 
 def polytope_membership(x, k: int) -> MembershipVerdict:
@@ -208,17 +192,7 @@ def polytope_membership(x, k: int) -> MembershipVerdict:
 
 
 # ---------------------------------------------------------------------------
-# odd-cut boundaries and facet sizes
-
-
-def odd_cut_boundary(smask: int, k: int) -> list[Edge]:
-    """Edges with exactly one endpoint in the subset given by ``smask``."""
-    n = 2 * k
-    return [
-        (u, w)
-        for u, w in all_edges(k)
-        if (smask >> u & 1) != (smask >> w & 1)
-    ]
+# odd-cut facet sizes
 
 
 def facet_size(s: int, k: int) -> int:
@@ -290,29 +264,28 @@ class FacetClassification:
 
 
 def facet_classification_check(
-    k: int, cocliques: list[tuple[int, ...]] | None = None
+    graph: DerangementGraph,
+    incidence: IncidenceMatrix,
+    cocliques: list[tuple[int, ...]],
 ) -> FacetClassification:
     """Certify that maximum cocliques are exactly the canonical ones.
 
-    Consumes an exhaustive coclique list (computed here only when not
-    supplied); for each one checks that its indicator is solvable against
-    the incidence columns and that its complement is precisely the set of
-    matchings avoiding one particular edge.  A non-canonical maximum
-    coclique would be a counterexample to the uniqueness statement and
-    raises immediately.
+    Consumes an exhaustive coclique list; for each one checks that its
+    complement is precisely the set of matchings avoiding one particular
+    edge e, and that its indicator lies in the incidence column space.
+    The witness for the latter is the unit vector on e: the indicator of
+    the matchings through e is incidence column e itself, so one integer
+    comparison checks it.  A non-canonical maximum coclique would be a
+    counterexample to the uniqueness statement and raises immediately.
     """
+    k = graph.k
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    graph = build_graph(k)
-    if cocliques is None:
-        from .graphs import enumerate_maximum_cocliques
-
-        _, cocliques = enumerate_maximum_cocliques(graph)
     edge_facet = (2 * k - 2) * double_factorial(2 * k - 3)
     n3 = facet_size(3, k) if k >= 3 else 0
     beats = edge_facet > n3
     mask_to_edge = {m: e for e, m in graph.edge_masks.items()}
-    im = incidence_matrix(k)
+    column = {e: j for j, e in enumerate(incidence.edges)}
     all_canon = True
     all_solvable = True
     for c in cocliques:
@@ -323,9 +296,9 @@ def facet_classification_check(
             raise ArithmeticError(
                 f"maximum coclique {c} is not canonical; uniqueness fails"
             )
-        v = [1 if mask >> i & 1 else 0 for i in range(graph.n_vertices)]
-        res = solve_in_column_space(im, v)
-        if res.solution is None:
+        j = column[mask_to_edge[mask]]
+        v = [mask >> i & 1 for i in range(graph.n_vertices)]
+        if [row[j] for row in incidence.u.rows] != v:
             all_solvable = False
     return FacetClassification(
         k=k,
@@ -336,16 +309,6 @@ def facet_classification_check(
         all_canonical=all_canon,
         all_in_column_space=all_solvable,
     )
-
-
-def incidence_to_triplets(im: IncidenceMatrix) -> str:
-    """Sparse triplet text: one `row col 1` line per incidence, sorted."""
-    lines = [f"{im.n_matchings} {im.n_edges}"]
-    for i, row in enumerate(im.u.rows):
-        for j, v in enumerate(row):
-            if v:
-                lines.append(f"{i} {j} 1")
-    return "\n".join(lines) + "\n"
 
 
 __all__ = [
@@ -360,9 +323,6 @@ __all__ = [
     "gram_identity_check",
     "gram_matrix",
     "incidence_matrix",
-    "incidence_to_triplets",
-    "odd_cut_boundary",
     "polytope_membership",
     "rank_U",
-    "solve_in_column_space",
 ]

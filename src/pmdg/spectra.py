@@ -20,13 +20,15 @@ from .exact import ExactMatrix, integer_roots, solve
 from .graphs import (
     DerangementGraph,
     KneserGraph,
-    build_graph,
     degree_formula,
     orbit_partition,
     quotient_matrix,
 )
 from .matchings import CapExceeded
 from .partitions import Partition
+
+# the modular certificate handles 945 vertices; beyond k=5 there is no route
+SPECTRUM_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,6 @@ class Spectrum:
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{v}^{m}" for v, m in self.eigenvalues) + "}"
-
-
-def char_poly(a: ExactMatrix) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A), coefficients ascending."""
-    return a.charpoly()
 
 
 def integer_spectrum(a: ExactMatrix, root_bound: int | None = None) -> Spectrum:
@@ -138,17 +135,17 @@ def quotient_eigenvalue_candidates(graph: DerangementGraph) -> list[int]:
     return sorted(roots, reverse=True)
 
 
-def derangement_spectrum(k: int) -> Spectrum:
+def derangement_spectrum(graph: DerangementGraph) -> Spectrum:
     """Certified spectrum of the derangement graph on matchings of K_{2k}.
 
     k <= 4 goes through exact kernel ranks.  k = 5 (945 vertices) uses
     the modular annihilation certificate in :func:`certified_spectrum_945`.
     """
+    k = graph.k
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if k > 5:
-        raise CapExceeded("spectrum", k, 5)
-    graph = build_graph(k)
+    if k > SPECTRUM_CAP:
+        raise CapExceeded("spectrum", k, SPECTRUM_CAP)
     candidates = quotient_eigenvalue_candidates(graph)
     if k <= 4:
         return spectrum_from_candidates(graph.adjacency_matrix(), candidates)
@@ -379,7 +376,7 @@ class ModuleLabeling:
     solution_count: int
 
 
-def module_labeling(k: int, spectrum: Spectrum | None = None) -> ModuleLabeling:
+def module_labeling(k: int, spec: Spectrum) -> ModuleLabeling:
     """Match doubled-shape module dimensions to eigenvalue multiplicities.
 
     Each eigenvalue's eigenspace must decompose into modules whose hook
@@ -389,7 +386,6 @@ def module_labeling(k: int, spectrum: Spectrum | None = None) -> ModuleLabeling:
     the valency, and the [2k-2,2] shape the least eigenvalue; both facts
     are asserted rather than assumed.
     """
-    spec = spectrum if spectrum is not None else derangement_spectrum(k)
     labels = matching_scheme_labels(k)
     dims = [hook_dimension(lbl) for lbl in labels]
     if sum(dims) != spec.n:
@@ -473,7 +469,7 @@ class TraceSquareReport:
     all_strict: bool
 
 
-def trace_square_check(k: int, labeling: ModuleLabeling | None = None) -> TraceSquareReport:
+def trace_square_check(lab: ModuleLabeling) -> TraceSquareReport:
     """Sum of dim * eigenvalue^2 against n*d, plus the strict-bound table.
 
     The identity part is insensitive to any ambiguity in the labeling
@@ -482,7 +478,7 @@ def trace_square_check(k: int, labeling: ModuleLabeling | None = None) -> TraceS
     candidate eigenvalue satisfies |value| < d/(2k-2); failures are
     reported, not hidden.
     """
-    lab = labeling if labeling is not None else module_labeling(k)
+    k = lab.k
     spec = lab.spectrum
     d = spec.largest
     n = spec.n
@@ -609,11 +605,11 @@ __all__ = [
     "CharacterSumResult",
     "LabelAssignment",
     "ModuleLabeling",
+    "SPECTRUM_CAP",
     "Spectrum",
     "TightnessCertificate",
     "TraceSquareReport",
     "certified_spectrum_945",
-    "char_poly",
     "character_sum_eigenvalue",
     "derangement_class_counts",
     "derangement_spectrum",

@@ -45,6 +45,7 @@ from pmdg.polytope import (
     facet_size,
     facet_size_by_counting,
     gram_identity_check,
+    incidence_matrix,
     rank_U,
 )
 from pmdg.spectra import (
@@ -61,6 +62,10 @@ from pmdg.spectra import (
 )
 
 DEGREES = {2: 2, 3: 8, 4: 60, 5: 544, 6: 6040}
+
+
+def _labeling(k: int):
+    return module_labeling(k, derangement_spectrum(build_graph(k)))
 
 
 def _report(num: int, slug: str, failures: list[str]) -> None:
@@ -118,9 +123,9 @@ def test_criterion_02_ekr_uniqueness_k5():
 
 def test_criterion_03_spectra_and_labels():
     failures = []
-    if derangement_spectrum(3) != Spectrum(15, ((8, 1), (2, 5), (-2, 9))):
+    if derangement_spectrum(build_graph(3)) != Spectrum(15, ((8, 1), (2, 5), (-2, 9))):
         failures.append("spectrum at k=3")
-    m8 = derangement_spectrum(4)
+    m8 = derangement_spectrum(build_graph(4))
     if m8.least != -10 or m8.multiplicity(-10) != 20 or 20 != 2 * 16 - 3 * 4:
         failures.append(f"k=4 least {m8.least} mult {m8.multiplicity(-10)}")
     # certain label assignments must tie multiplicities to hook dimensions
@@ -129,7 +134,7 @@ def test_criterion_03_spectra_and_labels():
         4: {(8,): 60, (6, 2): -10, (4, 2, 2): 2},
     }
     for k, expected in certain.items():
-        lab = module_labeling(k)
+        lab = _labeling(k)
         spec = lab.spectrum
         got = {
             tuple(a.label): a.eigenvalue for a in lab.assignments if a.certain
@@ -147,7 +152,7 @@ def test_criterion_03_spectra_and_labels():
         for value, total in covered.items():
             if k == 3 and total != spec.multiplicity(value):
                 failures.append(f"k=3: multiplicity of {value}")
-    if module_labeling(3).solution_count != 1:
+    if _labeling(3).solution_count != 1:
         failures.append("k=3 labeling is not unique")
     _report(3, "spectra-and-labels", failures)
 
@@ -170,7 +175,7 @@ def test_criterion_04_ratio_tightness():
 def test_criterion_05_trace_identity():
     failures = []
     for k in range(2, 5):
-        rep = trace_square_check(k)
+        rep = trace_square_check(_labeling(k))
         want = double_factorial(2 * k - 1) * degree_formula(k)
         if not rep.identity_holds or rep.lhs != want:
             failures.append(f"k={k}: lhs {rep.lhs}, want {want}")
@@ -184,7 +189,7 @@ def test_criterion_05_trace_identity():
 def test_criterion_05_strict_bound():
     failures = []
     for k in range(2, 5):
-        rep = trace_square_check(k)
+        rep = trace_square_check(_labeling(k))
         if not rep.all_strict:
             bad = [
                 f"{tuple(ln.label)}: {ln.candidates} vs {ln.bound}"
@@ -248,10 +253,12 @@ def test_criterion_07_polytope_suite():
     failures = []
     ranks = {2: 3, 3: 10, 4: 21}
     for k in range(2, 5):
-        check = gram_identity_check(k, multiply=True)
+        graph = build_graph(k)
+        im = incidence_matrix(graph)
+        check = gram_identity_check(graph, im)
         if not check.holds or not check.checked_products:
             failures.append(f"k={k}: product identity")
-        if rank_U(k) != ranks[k]:
+        if rank_U(im) != ranks[k]:
             failures.append(f"k={k}: rank")
     for k in (3, 4):
         for s in range(3, 2 * k - 2, 2):

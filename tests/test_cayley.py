@@ -180,7 +180,7 @@ def test_coclique_linegraph_map():
 
 
 def test_non_cayley_verdict_computed_links():
-    v = non_cayley_verdict(3)
+    v = non_cayley_verdict(3, build_graph(3))
     by_name = {ln.link: ln for ln in v.links}
     assert by_name["odd-vertex-count"].status == "pass"
     assert by_name["prime-pair"].status == "pass"
@@ -192,7 +192,7 @@ def test_non_cayley_verdict_computed_links():
 
 
 def test_non_cayley_verdict_cites_group_theory():
-    v = non_cayley_verdict(4)
+    v = non_cayley_verdict(4, build_graph(4))
     statuses = {ln.link: ln.status for ln in v.links}
     assert statuses["odd-order-solvable"] == "cited"
     assert statuses["hall-subgroup"] == "cited"
@@ -200,7 +200,7 @@ def test_non_cayley_verdict_cites_group_theory():
 
 
 def test_non_cayley_verdict_k5_cites_automorphisms():
-    v = non_cayley_verdict(5)
+    v = non_cayley_verdict(5, None)
     statuses = {ln.link: ln.status for ln in v.links}
     assert statuses["automorphism-group"] == "cited"
     assert not v.is_cayley_possible
@@ -208,4 +208,7 @@ def test_non_cayley_verdict_k5_cites_automorphisms():
 
 def test_non_cayley_verdict_rejects_small_k():
     with pytest.raises(ValueError):
-        non_cayley_verdict(2)
+        non_cayley_verdict(2, None)
+    # the automorphism link at k <= 4 is computed, never silently cited
+    with pytest.raises(ValueError):
+        non_cayley_verdict(4, None)

@@ -17,8 +17,6 @@ from pmdg.characters import (
     conjugacy_class_size,
     hook_dimension,
     hook_lengths,
-    johnson_scheme_labels,
-    label_dimension_sum,
     matching_scheme_labels,
     remove_box,
     small_degree_partitions,
@@ -273,14 +271,7 @@ def test_matching_scheme_labels():
     assert [tuple(p) for p in matching_scheme_labels(3)] == [(6,), (4, 2), (2, 2, 2)]
     for k in range(1, 7):
         labels = matching_scheme_labels(k)
-        assert label_dimension_sum(labels) == matching_count(k)
+        # the module dimensions add up to (2k-1)!!, the vertex count
+        assert sum(hook_dimension(p) for p in labels) == matching_count(k)
         assert all(all(part % 2 == 0 for part in p) for p in labels)
 
-
-def test_johnson_scheme_labels():
-    assert [tuple(p) for p in johnson_scheme_labels(5, 2)] == [(5,), (4, 1), (3, 2)]
-    # dimension sum is the number of k-subsets
-    for n, k in [(6, 2), (7, 3), (9, 3), (8, 4)]:
-        assert label_dimension_sum(johnson_scheme_labels(n, k)) == math.comb(n, k)
-    with pytest.raises(ValueError):
-        johnson_scheme_labels(3, 2)

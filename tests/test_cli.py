@@ -1,11 +1,14 @@
 """Command line driver: exit codes, formats, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pmdg import cli
 from pmdg.cli import run
 
 
@@ -95,22 +98,114 @@ def test_spectra_cap_exceeded(capsys):
     assert "spectrum" in err
 
 
-def test_threads_validation(capsys):
-    code, _, err = run_cli(capsys, "counts", "--k", "3", "--threads", "0")
-    assert code == 2
-    assert "--threads" in err
+# (argv, exit code): usage errors and caps, each decided from the command
+# table before any work, plus cheap valid selections
+ARGUMENTS = [
+    (("counts", "--k", "0"), 2),
+    (("graph", "--k", "0"), 2),
+    (("spectra", "--k", "1"), 2),
+    (("all", "--k", "1"), 2),
+    (("ekr", "--k", "1"), 2),
+    (("cayley", "--k", "2"), 2),
+    (("polytope", "--k", "1"), 2),
+    (("reps", "--n", "0"), 2),
+    (("reps", "--n", "40"), 2),
+    (("spectra", "--n", "5"), 2),
+    (("ekr", "--max-k", "2"), 2),
+    (("all", "--max-k", "1"), 2),
+    (("counts", "--k", "3", "--max-k", "4"), 2),
+    (("reps", "--k", "3"), 2),
+    (("counts", "--n", "3"), 2),
+    (("ekr", "--max-k", "6"), 3),
+    (("cayley", "--k", "200"), 3),
+    (("counts", "--k", "31"), 3),
+    (("graph", "--k", "7"), 3),
+    (("polytope", "--k", "6"), 3),
+    (("spectra", "--n", "30", "--k", "3"), 3),
+    (("spectra", "--n", str(10**18), "--k", str(10**17)), 3),
+    (("counts", "--max-k", str(10**18)), 3),
+    (("counts", "--k", "1"), 1),
+    (("graph", "--k", "1"), 0),
+    (("ekr", "--k", "2"), 0),
+    (("polytope", "--k", "2"), 0),
+    (("cayley", "--k", "3"), 0),
+    (("reps", "--n", "13"), 0),
+    (("spectra", "--n", "6", "--k", "2"), 0),
+    (("all", "--k", "2"), 1),
+]
 
 
-def test_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("PMDG_THREADS", "2")
-    code, out, _ = run_cli(capsys, "counts", "--k", "3")
-    assert code == 0
+def _check_exit(tmp_path, argv):
+    target = tmp_path / "report.txt"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, "--out", str(target)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert out == "" and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("usage: pmdg")
+    if code == 3:
+        assert "exceeds cap" in err
+    # a usage error or a cap writes no report, and a report is never empty
+    assert target.exists() == (code in (0, 1))
+    if code in (0, 1):
+        assert "0 pass, 0 fail, 0 skipped" not in target.read_text()
+    return code
 
 
-def test_threads_env_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("PMDG_THREADS", "0")
-    code, _, _ = run_cli(capsys, "counts", "--k", "3")
-    assert code == 2
+@pytest.mark.parametrize("argv,code", ARGUMENTS)
+def test_exit_codes(argv, code, tmp_path):
+    assert _check_exit(tmp_path, argv) == code
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    command=st.sampled_from(sorted(cli.COMMANDS)),
+    flag=st.sampled_from(["--k", "--max-k", "--n"]),
+    value=st.sampled_from([-7, -1, 0, 1, 2, 3, 14, 31, 200, 10**9]),
+)
+def test_exit_codes_over_arguments(command, flag, value, tmp_path_factory):
+    _check_exit(tmp_path_factory.mktemp("cli"), (command, flag, str(value)))
+
+
+def test_cap_exits_before_any_search(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    monkeypatch.setattr(cli, "build_graph", never)
+    monkeypatch.setattr(cli, "enumerate_maximum_cocliques", never)
+    code, out, err = run_cli(capsys, "ekr", "--max-k", "6")
+    assert code == 3
+    assert out == ""
+    assert "coclique search=6 exceeds cap 5" in err
+
+
+def test_counts_builds_no_graph(monkeypatch, capsys):
+    def never(k):
+        raise AssertionError(f"graph built at k={k}")
+
+    monkeypatch.setattr(cli, "build_graph", never)
+    assert run_cli(capsys, "counts", "--k", "7")[0] == 0
+
+
+def test_all_builds_each_graph_and_incidence_once(monkeypatch, capsys):
+    graphs, incidences = [], []
+    build_graph, incidence_matrix = cli.build_graph, cli.incidence_matrix
+
+    def counted_graph(k):
+        graphs.append(k)
+        return build_graph(k)
+
+    def counted_incidence(graph):
+        incidences.append(graph.k)
+        return incidence_matrix(graph)
+
+    monkeypatch.setattr(cli, "build_graph", counted_graph)
+    monkeypatch.setattr(cli, "incidence_matrix", counted_incidence)
+    assert run_cli(capsys, "all", "--format", "json")[0] == 1
+    assert sorted(graphs) == [2, 3, 4]
+    assert sorted(incidences) == [2, 3, 4]
 
 
 def test_json_format_parses(capsys):

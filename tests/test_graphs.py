@@ -1,6 +1,5 @@
 """Derangement graph construction, quotients, cliques, cocliques."""
 
-import json
 from math import comb
 
 import pytest
@@ -15,7 +14,6 @@ from pmdg.graphs import (
     canonical_coclique,
     canonical_partition,
     clique_coclique_check,
-    cocliques_to_json,
     degree_by_enumeration,
     degree_formula,
     degree_lower_bound_check,
@@ -25,7 +23,6 @@ from pmdg.graphs import (
     orbit_partition,
     quotient_matrix,
     scheme_class_sizes,
-    to_dimacs,
 )
 from pmdg.matchings import double_factorial, matching_count, union_cycle_type
 from pmdg.partitions import partition_count
@@ -236,28 +233,3 @@ def test_kneser_graph_validation():
     with pytest.raises(ValueError):
         KneserGraph(3, 4)
 
-
-def test_dimacs_export():
-    g = build_graph(2)
-    text = to_dimacs(g)
-    lines = text.strip().split("\n")
-    assert lines[1] == "p edge 3 3"
-    assert lines[2:] == ["e 1 2", "e 1 3", "e 2 3"]
-
-
-def test_dimacs_edge_count_matches_handshake():
-    g = build_graph(3)
-    lines = to_dimacs(g).strip().split("\n")
-    declared = int(lines[1].split()[3])
-    assert declared == g.n_vertices * g.degree // 2
-    assert sum(1 for ln in lines if ln.startswith("e ")) == declared
-
-
-def test_cocliques_json_round_trip():
-    g = build_graph(3)
-    alpha, cocliques = enumerate_maximum_cocliques(g)
-    payload = json.loads(cocliques_to_json(g, alpha, cocliques))
-    assert payload["alpha"] == 3
-    assert payload["count"] == 15
-    assert payload["cocliques"] == sorted([list(c) for c in cocliques])
-    assert payload["k"] == 3 and payload["n_vertices"] == 15

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from pmdg.exact import ExactMatrix, solve
 from pmdg.graphs import build_graph, canonical_coclique, enumerate_maximum_cocliques
 from pmdg.matchings import CapExceeded, all_edges, double_factorial, matching_count
 from pmdg.polytope import (
+    IncidenceMatrix,
     facet_classification_check,
     facet_ratio_check,
     facet_size,
@@ -14,32 +16,45 @@ from pmdg.polytope import (
     gram_identity_check,
     gram_matrix,
     incidence_matrix,
-    incidence_to_triplets,
-    odd_cut_boundary,
     polytope_membership,
     rank_U,
-    solve_in_column_space,
 )
+
+
+def _incidence(k):
+    g = build_graph(k)
+    return g, incidence_matrix(g)
+
+
+def _classify(k):
+    g, im = _incidence(k)
+    _, cocliques = enumerate_maximum_cocliques(g)
+    return facet_classification_check(g, im, cocliques)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_incidence_shape_and_sums(k):
-    im = incidence_matrix(k)
+    g, im = _incidence(k)
     assert im.n_matchings == matching_count(k)
     assert im.n_edges == len(all_edges(k))
     for row in im.u.rows:
         assert sum(row) == k
         assert set(row) <= {0, 1}
+    # row i is vertex i of the graph
+    for m, row in zip(g.vertices, im.u.rows):
+        assert {im.edges[j] for j, x in enumerate(row) if x} == set(m)
 
 
 def test_incidence_cap():
+    # the matrix is built from the graph, so the graph cap bounds it
     with pytest.raises(CapExceeded):
-        incidence_matrix(7)
+        incidence_matrix(build_graph(7))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_gram_identity(k):
-    chk = gram_identity_check(k)
+    g, im = _incidence(k)
+    chk = gram_identity_check(g, im if k <= 3 else None)
     assert chk.holds
     assert chk.diagonal == double_factorial(2 * k - 3)
     assert chk.off_diagonal == double_factorial(2 * k - 5)
@@ -47,7 +62,7 @@ def test_gram_identity(k):
 
 
 def test_gram_identity_forced_product_route():
-    assert gram_identity_check(4, multiply=True).checked_products
+    assert gram_identity_check(*_incidence(4)).checked_products
 
 
 def test_gram_matrix_k2_by_hand():
@@ -67,7 +82,7 @@ def test_gram_matrix_k2_by_hand():
 
 @pytest.mark.parametrize("k,expected", [(2, 3), (3, 10), (4, 21)])
 def test_rank_of_incidence(k, expected):
-    assert rank_U(k) == expected
+    assert rank_U(_incidence(k)[1]) == expected
     assert expected == 2 * k * k - 3 * k + 1
 
 
@@ -85,20 +100,6 @@ def test_gram_kernel_vectors(k):
     for u, v in [(0, 1), (0, 2 * k - 1), (1, 2)]:
         w = [(u in e) - (v in e) for e in edges]
         assert all(x == 0 for x in g.matvec(w))
-
-
-def test_solve_in_column_space():
-    im = incidence_matrix(3)
-    g = build_graph(3)
-    coclique = canonical_coclique(g, (0, 1))
-    v = [1 if i in coclique else 0 for i in range(15)]
-    res = solve_in_column_space(im, v)
-    assert res.feasible
-    assert im.u.matvec(res.solution) == [Fraction(x) for x in v]
-    # a lone vertex indicator is outside the column space
-    assert not solve_in_column_space(im, [1] + [0] * 14).feasible
-    with pytest.raises(ValueError):
-        solve_in_column_space(im, [1, 0])
 
 
 def test_membership_barycenter():
@@ -152,21 +153,6 @@ def test_membership_validation():
         polytope_membership([0, 1], 3)
 
 
-def test_membership_verdict_json():
-    import json
-
-    v = polytope_membership([Fraction(1, 7)] * 28, 4)
-    payload = json.loads(v.to_json())
-    assert payload["member"] is True
-
-
-def test_odd_cut_boundary():
-    edges = odd_cut_boundary(0b000111, 3)
-    assert len(edges) == 9
-    for u, w in edges:
-        assert (u < 3) != (w < 3)
-
-
 def test_facet_size_values():
     assert facet_size(3, 3) == 9
     assert facet_size(3, 4) == 45
@@ -202,23 +188,23 @@ def test_edge_facet_count_by_enumeration():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_facet_classification_small(k):
-    fc = facet_classification_check(k)
+    fc = _classify(k)
     assert fc.edge_facet_count == (2 * k - 2) * double_factorial(2 * k - 3)
     assert fc.all_canonical and fc.all_in_column_space
     assert fc.edge_beats_odd_cut
 
 
 def test_facet_classification_k3_details():
-    g = build_graph(3)
+    g, im = _incidence(3)
     alpha, cocliques = enumerate_maximum_cocliques(g)
-    fc = facet_classification_check(3, cocliques)
+    fc = facet_classification_check(g, im, cocliques)
     assert fc.cocliques_checked == 15
     assert fc.n3 == 9
     assert fc.edge_facet_count == 12 > fc.n3
 
 
 def test_facet_classification_k4():
-    fc = facet_classification_check(4)
+    fc = _classify(4)
     assert fc.cocliques_checked == 28
     assert fc.edge_facet_count == 90 > fc.n3 == 45
     assert fc.all_canonical and fc.all_in_column_space
@@ -227,13 +213,31 @@ def test_facet_classification_k4():
 def test_facet_classification_rejects_impostor():
     # {0,1,3} is independent-size-shaped but is not an edge's coclique
     with pytest.raises(ArithmeticError):
-        facet_classification_check(3, [(0, 1, 3)])
+        facet_classification_check(*_incidence(3), [(0, 1, 3)])
 
 
-def test_triplet_export():
-    im = incidence_matrix(2)
-    text = incidence_to_triplets(im)
-    lines = text.strip().split("\n")
-    assert lines[0] == "3 6"
-    assert len(lines) == 1 + 3 * 2  # k ones per row
-    assert all(ln.endswith(" 1") for ln in lines[1:])
+@pytest.mark.parametrize("k", [2, 3])
+def test_facet_witness_agrees_with_solve(k):
+    # the unit vector on e solves U x = indicator of the coclique on e, and
+    # a general exact solve reaches the same feasibility verdict
+    g, im = _incidence(k)
+    for j, e in enumerate(im.edges):
+        members = set(canonical_coclique(g, e))
+        v = [1 if i in members else 0 for i in range(g.n_vertices)]
+        unit = [1 if t == j else 0 for t in range(im.n_edges)]
+        assert im.u.matvec(unit) == v
+        assert solve(im.u, v).feasible
+    # from k=3 on the rank 2k^2-3k+1 is below (2k-1)!!, and a lone vertex
+    # indicator is outside the column space
+    lone = [1] + [0] * (g.n_vertices - 1)
+    assert solve(im.u, lone).feasible == (k == 2)
+
+
+def test_facet_witness_detects_a_wrong_column():
+    g, im = _incidence(3)
+    rows = [list(r) for r in im.u.rows]
+    rows[0][0] = 1 - rows[0][0]
+    bad = IncidenceMatrix(k=3, u=ExactMatrix(rows), edges=im.edges)
+    _, cocliques = enumerate_maximum_cocliques(g)
+    fc = facet_classification_check(g, bad, cocliques)
+    assert fc.all_canonical and not fc.all_in_column_space

@@ -17,7 +17,6 @@ from pmdg.partitions import Partition
 from pmdg.spectra import (
     Spectrum,
     certified_spectrum_945,
-    char_poly,
     character_sum_eigenvalue,
     derangement_class_counts,
     derangement_spectrum,
@@ -38,6 +37,10 @@ M8 = Spectrum(105, ((60, 1), (5, 14), (2, 56), (-3, 14), (-10, 20)))
 M10 = Spectrum(945, ((544, 1), (12, 315), (4, 42), (-2, 300), (-6, 252), (-68, 35)))
 
 
+def _labeling(k):
+    return module_labeling(k, derangement_spectrum(build_graph(k)))
+
+
 def test_spectrum_container():
     s = Spectrum(15, ((2, 5), (8, 1), (-2, 9)))  # order fixed on build
     assert s.eigenvalues == ((8, 1), (2, 5), (-2, 9))
@@ -49,7 +52,7 @@ def test_spectrum_container():
 
 
 def test_char_poly_of_quotient():
-    assert char_poly(ExactMatrix([[0, 8], [2, 6]])) == [-16, -6, 1]
+    assert ExactMatrix([[0, 8], [2, 6]]).charpoly() == [-16, -6, 1]
 
 
 def test_integer_spectrum_small_graphs():
@@ -92,19 +95,19 @@ def test_quotient_candidates_cover_spectrum():
 
 
 def test_derangement_spectrum_small():
-    assert derangement_spectrum(2).eigenvalues == ((2, 1), (-1, 2))
-    assert derangement_spectrum(3) == M6
-    assert derangement_spectrum(4) == M8
+    assert derangement_spectrum(build_graph(2)).eigenvalues == ((2, 1), (-1, 2))
+    assert derangement_spectrum(build_graph(3)) == M6
+    assert derangement_spectrum(build_graph(4)) == M8
 
 
 def test_derangement_spectrum_cap():
     with pytest.raises(CapExceeded) as ei:
-        derangement_spectrum(6)
+        derangement_spectrum(build_graph(6))
     assert ei.value.what == "spectrum"
 
 
 def test_spectrum_m10_certified():
-    assert derangement_spectrum(5) == M10
+    assert derangement_spectrum(build_graph(5)) == M10
 
 
 def test_certified_route_rejects_bad_candidates():
@@ -200,7 +203,7 @@ def test_tightness_certificate_other_edges():
 
 
 def test_module_labeling_k3_certain():
-    lab = module_labeling(3)
+    lab = _labeling(3)
     assert lab.solution_count == 1
     got = {tuple(a.label): a.eigenvalue for a in lab.assignments}
     assert got == {(6,): 8, (4, 2): -2, (2, 2, 2): 2}
@@ -208,7 +211,7 @@ def test_module_labeling_k3_certain():
 
 
 def test_module_labeling_k4_two_covers():
-    lab = module_labeling(4)
+    lab = _labeling(4)
     assert lab.solution_count == 2
     by_label = {tuple(a.label): a for a in lab.assignments}
     assert by_label[(8,)].eigenvalue == 60
@@ -223,7 +226,7 @@ def test_module_labeling_k4_two_covers():
 
 
 def test_module_labeling_k5_unique():
-    lab = module_labeling(5)
+    lab = _labeling(5)
     assert lab.solution_count == 1
     got = {tuple(a.label): a.eigenvalue for a in lab.assignments}
     assert got == {
@@ -239,7 +242,7 @@ def test_module_labeling_k5_unique():
 
 def test_labeling_dimensions_cover_multiplicities():
     for k in (3, 4, 5):
-        lab = module_labeling(k)
+        lab = _labeling(k)
         for value, mult in lab.spectrum.eigenvalues:
             dim_total = sum(
                 a.dimension for a in lab.assignments
@@ -254,14 +257,15 @@ def test_labeling_dimensions_cover_multiplicities():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_trace_square_identity(k):
-    rep = trace_square_check(k)
+    lab = _labeling(k)
+    rep = trace_square_check(lab)
     assert rep.identity_holds
-    assert rep.lhs == rep.rhs == matching_count(k) * derangement_spectrum(k).largest
+    assert rep.lhs == rep.rhs == matching_count(k) * lab.spectrum.largest
 
 
 def test_strict_bound_k3_equality_is_reported():
     # |2| equals 8/(2k-2) exactly, so the strict form genuinely fails here
-    rep = trace_square_check(3)
+    rep = trace_square_check(_labeling(3))
     assert not rep.all_strict
     line = next(ln for ln in rep.lines if tuple(ln.label) == (2, 2, 2))
     assert not line.exempt
@@ -271,7 +275,7 @@ def test_strict_bound_k3_equality_is_reported():
 
 
 def test_strict_bound_k4_holds():
-    rep = trace_square_check(4)
+    rep = trace_square_check(_labeling(4))
     assert rep.all_strict
     for line in rep.lines:
         if tuple(line.label) in ((8,), (6, 2)):
@@ -282,7 +286,7 @@ def test_strict_bound_k4_holds():
 
 
 def test_trace_square_k2_vacuous():
-    rep = trace_square_check(2)
+    rep = trace_square_check(_labeling(2))
     assert rep.identity_holds
     assert rep.all_strict  # nothing outside the two exempt labels
 
@@ -323,7 +327,7 @@ def test_character_sums_k4_resolve_the_ambiguity():
     census = derangement_class_counts(4)
     assert len(census) == 19
     values = {}
-    for a in module_labeling(4).assignments:
+    for a in _labeling(4).assignments:
         r = character_sum_eigenvalue(4, Partition(a.label), census)
         values[tuple(a.label)] = r.calibrated
         assert r.calibrated in a.candidates
