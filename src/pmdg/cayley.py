@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, isqrt, lcm
 
-from .graphs import DerangementGraph
+from .graphs import DerangementGraph, is_automorphism
 from .matchings import CapExceeded, matching_count
 from .partitions import iter_partitions
 
@@ -195,17 +195,8 @@ def induced_vertex_permutation(
     if sorted(sigma) != list(range(2 * graph.k)):
         raise ValueError("sigma is not a permutation of the points")
     phi = [graph.index[m.relabel(sigma)] for m in graph.vertices]
-    if verify:
-        n = graph.n_vertices
-        for i in range(n):
-            permuted = 0
-            r = graph.rows[i]
-            while r:
-                low = r & -r
-                permuted |= 1 << phi[low.bit_length() - 1]
-                r ^= low
-            if permuted != graph.rows[phi[i]]:
-                raise AssertionError("induced map does not preserve adjacency")
+    if verify and not is_automorphism(graph.rows, phi):
+        raise AssertionError("induced map does not preserve adjacency")
     return phi
 
 

@@ -90,11 +90,13 @@ class _Clock:
         return ms if self.enabled else 0
 
 
-# Each stage maps (selection, graph, clock) to records.  ``graph(k)`` hands
-# out M(2k), built on first use and shared by every later stage.
+# Each stage maps (selection, graph, cocliques, clock) to records.
+# ``graph(k)`` hands out M(2k) and ``cocliques(k)`` the result of its
+# maximum-coclique search, each computed on first use and shared by every
+# later stage.
 
 
-def _counts(ks, graph, clock) -> list[VerificationRecord]:
+def _counts(ks, graph, cocliques, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
         expected = double_factorial(2 * k - 1)
@@ -109,13 +111,14 @@ def _counts(ks, graph, clock) -> list[VerificationRecord]:
                 check("degree-formula-vs-enumeration", {"k": k}, d,
                       degree_by_enumeration(k), clock.mark())
             )
-        terms = degree_terms(k)
-        decreasing = all(a > b for a, b in zip(terms, terms[1:]))
-        out.append(
-            check("degree-terms-strictly-decreasing", {"k": k}, True, decreasing,
-                  clock.mark())
-        )
+        # both claims hold from k=2; at k=1 the two terms are 1 and 1
         if k >= 2:
+            terms = degree_terms(k)
+            decreasing = all(a > b for a, b in zip(terms, terms[1:]))
+            out.append(
+                check("degree-terms-strictly-decreasing", {"k": k}, True, decreasing,
+                      clock.mark())
+            )
             out.append(
                 check("degree-exceeds-union-bound", {"k": k}, True,
                       degree_lower_bound_check(k), clock.mark())
@@ -127,7 +130,7 @@ def _counts(ks, graph, clock) -> list[VerificationRecord]:
     return out
 
 
-def _graph(ks, graph, clock) -> list[VerificationRecord]:
+def _graph(ks, graph, cocliques, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
         g = graph(k)
@@ -175,23 +178,23 @@ def _graph(ks, graph, clock) -> list[VerificationRecord]:
     return out
 
 
-def _ekr(ks, graph, clock) -> list[VerificationRecord]:
+def _ekr(ks, graph, cocliques, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
         g = graph(k)
-        alpha, cocliques = enumerate_maximum_cocliques(g)
+        alpha, maximum = cocliques(k)
         out.append(
             check("coclique-number", {"k": k}, double_factorial(2 * k - 3), alpha,
                   clock.mark())
         )
         expected_count = comb(2 * k, 2) if k >= 3 else 3
         out.append(
-            check("maximum-coclique-count", {"k": k}, expected_count, len(cocliques),
+            check("maximum-coclique-count", {"k": k}, expected_count, len(maximum),
                   clock.mark())
         )
         canon_masks = set(g.edge_masks.values())
         all_canon = all(
-            sum(1 << i for i in c) in canon_masks for c in cocliques
+            sum(1 << i for i in c) in canon_masks for c in maximum
         )
         out.append(
             check("maximum-cocliques-all-canonical", {"k": k}, True, all_canon, clock.mark())
@@ -217,7 +220,7 @@ def _ekr(ks, graph, clock) -> list[VerificationRecord]:
     return out
 
 
-def _spectra(ks, graph, clock) -> list[VerificationRecord]:
+def _spectra(ks, graph, cocliques, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
         spec = derangement_spectrum(graph(k))
@@ -275,10 +278,10 @@ def _spectra(ks, graph, clock) -> list[VerificationRecord]:
                       trivial.rescaled != d, clock.mark())
             )
     # the Petersen graph rides along as a check of the subset route
-    return out + _subset_spectra([(5, 2)], graph, clock)
+    return out + _subset_spectra([(5, 2)], graph, cocliques, clock)
 
 
-def _subset_spectra(pairs, graph, clock) -> list[VerificationRecord]:
+def _subset_spectra(pairs, graph, cocliques, clock) -> list[VerificationRecord]:
     out = []
     for n, k in pairs:
         closed = kneser_eigenvalues(n, k)
@@ -290,7 +293,7 @@ def _subset_spectra(pairs, graph, clock) -> list[VerificationRecord]:
     return out
 
 
-def _polytope(ks, graph, clock) -> list[VerificationRecord]:
+def _polytope(ks, graph, cocliques, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
         g = graph(k)
@@ -335,8 +338,7 @@ def _polytope(ks, graph, clock) -> list[VerificationRecord]:
                       polytope_membership(list(im.u.rows[0]), k).member, clock.mark())
             )
         if k <= 4:
-            _, cocliques = enumerate_maximum_cocliques(g)
-            fc = facet_classification_check(g, im, cocliques)
+            fc = facet_classification_check(g, im, cocliques(k)[1])
             out.append(
                 check("maximum-cocliques-are-edge-facets",
                       {"k": k, "cocliques": fc.cocliques_checked},
@@ -345,7 +347,7 @@ def _polytope(ks, graph, clock) -> list[VerificationRecord]:
     return out
 
 
-def _reps(ns, graph, clock) -> list[VerificationRecord]:
+def _reps(ns, graph, cocliques, clock) -> list[VerificationRecord]:
     out = []
     for n in ns:
         if n <= 10:
@@ -377,7 +379,7 @@ def _reps(ns, graph, clock) -> list[VerificationRecord]:
     return out
 
 
-def _cayley(ks, graph, clock) -> list[VerificationRecord]:
+def _cayley(ks, graph, cocliques, clock) -> list[VerificationRecord]:
     out = []
     for k in ks:
         # the automorphism search stops at k=4; past it that link is cited
@@ -525,17 +527,22 @@ def run(argv=None) -> int:
         print(f"pmdg: {e}", file=sys.stderr)
         return 3
 
-    graphs = {}
+    graphs, searches = {}, {}
 
     def graph(k: int):
         if k not in graphs:
             graphs[k] = build_graph(k)
         return graphs[k]
 
+    def cocliques(k: int):
+        if k not in searches:
+            searches[k] = enumerate_maximum_cocliques(graph(k))
+        return searches[k]
+
     clock = _Clock(args.timings)
     records = []
     for stage, sel in plan:
-        records += stage(sel, graph, clock)
+        records += stage(sel, graph, cocliques, clock)
 
     text = RENDERERS[args.format](records)
     if args.out:

@@ -27,8 +27,8 @@ from .search import SearchTimeout, bit_indices, is_coclique, maximum_cocliques
 # adjacency rows at k=6 hold 10395 ints of 10395 bits (~14 MB); beyond that
 # the graph no longer fits the "desk scale" brief
 GRAPH_CAP = 6
-# vertices of a subset-disjointness graph; its spectrum is certified by
-# exact kernel ranks, which stay at desk scale up to here
+# vertices of a subset-disjointness graph; the build tests every pair of
+# subsets, a million tests at the cap
 SUBSET_GRAPH_CAP = 1000
 
 Edge = tuple[int, int]
@@ -110,10 +110,24 @@ class DerangementGraph:
             [[1 if self.rows[i] >> j & 1 else 0 for j in range(n)] for i in range(n)]
         )
 
-    def adjacency_int_rows(self) -> list[list[int]]:
-        """Dense 0/1 rows as plain ints, for numeric backends."""
-        n = self.n_vertices
-        return [[self.rows[i] >> j & 1 for j in range(n)] for i in range(n)]
+
+def is_automorphism(rows: list[int], phi: list[int]) -> bool:
+    """Whether the vertex permutation ``phi`` maps adjacency onto itself.
+
+    ``phi`` must be a bijection of the vertices, and the image of every
+    row under it must be the row of the image vertex.
+    """
+    if sorted(phi) != list(range(len(rows))):
+        return False
+    for i, r in enumerate(rows):
+        permuted = 0
+        while r:
+            low = r & -r
+            permuted |= 1 << phi[low.bit_length() - 1]
+            r ^= low
+        if permuted != rows[phi[i]]:
+            return False
+    return True
 
 
 def build_graph(k: int, cap: int = GRAPH_CAP) -> DerangementGraph:
@@ -387,6 +401,7 @@ __all__ = [
     "degree_lower_bound_check",
     "degree_terms",
     "enumerate_maximum_cocliques",
+    "is_automorphism",
     "one_factorization_clique",
     "orbit_partition",
     "quotient_matrix",

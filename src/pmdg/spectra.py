@@ -1,33 +1,38 @@
 """Exact spectra of the derangement graph and the machinery around them.
 
-Eigenvalues come from two independent directions: equitable quotients
-supply candidates, and exact kernel ranks on the full adjacency matrix
-certify each multiplicity, with the dimension count guaranteeing nothing
-was missed.  The 945-vertex case replaces elimination (hopeless at that
-size in exact rationals) by a Chinese-remainder annihilation certificate
-plus power-sum bookkeeping; every float64 product is kept inside the
-range where it is exact integer arithmetic, so no precision is lost.
+Every spectrum is proved by one certificate, :func:`certified_spectrum`.
+An equitable partition whose first cell is a single base vertex supplies
+the quotient; candidate eigenvalues are the quotient's integer roots;
+and the walks from the base vertex, counted in the quotient and spread
+over all vertices by verified automorphisms, prove that the candidates
+are every eigenvalue and fix their multiplicities.  All of it is integer
+arithmetic on the quotient, with Fractions only in a small Vandermonde
+solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
+from .cayley import induced_vertex_permutation
 from .characters import character, hook_dimension, matching_scheme_labels
 from .exact import ExactMatrix, integer_roots, solve
 from .graphs import (
     DerangementGraph,
     KneserGraph,
+    VertexPartition,
     degree_formula,
+    is_automorphism,
     orbit_partition,
     quotient_matrix,
 )
 from .matchings import CapExceeded
 from .partitions import Partition
 
-# the modular certificate handles 945 vertices; beyond k=5 there is no route
+# the certificate verifies each point relabelling row by row, n*d bit steps:
+# 0.5 million at k=5, 63 million at k=6
 SPECTRUM_CAP = 5
 
 
@@ -70,155 +75,69 @@ class Spectrum:
         return "{" + ", ".join(f"{v}^{m}" for v, m in self.eigenvalues) + "}"
 
 
-def integer_spectrum(a: ExactMatrix, root_bound: int | None = None) -> Spectrum:
-    """Full spectrum of a matrix known to have only integer eigenvalues.
+def certified_spectrum(
+    graph, partition: VertexPartition, automorphisms, candidates
+) -> Spectrum:
+    """Exact spectrum of a vertex-transitive graph from the walks out of one vertex.
 
-    Factors the characteristic polynomial over the integers and insists
-    the factorization is complete; anything irrational left over raises.
+    Premises, each checked here: the first cell of ``partition`` is the
+    single base vertex, the partition is equitable (with quotient B),
+    every vertex permutation in ``automorphisms`` preserves adjacency,
+    and together they carry the base vertex to every vertex.
+
+    Why this proves the spectrum: with P the cell indicator matrix,
+    AP = PB, so the walks from the base vertex are A^j e_0 = P B^j f_0.
+    Automorphisms commute with A, so p(A) e_0 = 0 gives p(A) e_v = 0 for
+    every v in the orbit of the base vertex, that is p(A) = 0; and every
+    diagonal entry of A^j equals (B^j)_00.  The certificate checks
+    p(B) f_0 = 0 for p = prod (x - c) over the candidates, so every
+    eigenvalue is a candidate, and reads the multiplicities off
+    tr A^j = n (B^j)_00 for the first len(candidates) powers by a
+    Vandermonde solve.  The traces of the higher powers, up to at least
+    A^6, must match the result too.
     """
-    coeffs = a.charpoly()
-    roots, residual = integer_roots(coeffs, root_bound=root_bound)
-    if len(residual) != 1:
-        raise ArithmeticError(
-            "matrix has eigenvalues outside the integers; "
-            f"residual degree {len(residual) - 1}"
-        )
-    total = sum(roots.values())
-    if total != a.nrows:
-        raise ArithmeticError(f"only {total} of {a.nrows} eigenvalues found")
-    eigs = tuple(sorted(roots.items(), reverse=True))
-    return Spectrum(n=a.nrows, eigenvalues=eigs)
-
-
-def eigenvalue_multiplicity(a: ExactMatrix, value: int) -> int:
-    """Dimension of the eigenspace, as an exact kernel rank."""
-    return a.add_scalar_diagonal(-value).nullity()
-
-
-def spectrum_from_candidates(a: ExactMatrix, candidates: list[int]) -> Spectrum:
-    """Certify a spectrum from candidate eigenvalues by exact kernel ranks.
-
-    Each candidate's eigenspace dimension is computed by elimination; the
-    dimensions must add up to the order of the matrix, which proves the
-    candidate list was complete.
-    """
-    n = a.nrows
-    eigs = []
-    total = 0
-    for v in sorted(set(candidates), reverse=True):
-        m = eigenvalue_multiplicity(a, v)
-        if m == 0:
-            raise ArithmeticError(f"candidate {v} is not an eigenvalue")
-        eigs.append((v, m))
-        total += m
-    if total != n:
-        raise ArithmeticError(
-            f"eigenspace dimensions cover {total} of {n}; candidate list incomplete"
-        )
-    return Spectrum(n=n, eigenvalues=tuple(eigs))
-
-
-def quotient_eigenvalue_candidates(graph: DerangementGraph) -> list[int]:
-    """Distinct integer eigenvalues of the union-type orbit quotient.
-
-    The quotient of an equitable partition interlaces the graph, so its
-    eigenvalues are genuine graph eigenvalues; the association scheme has
-    at most as many distinct eigenvalues as the quotient has rows, so
-    when the quotient's roots are distinct they are all of them.
-    """
-    q = quotient_matrix(graph, orbit_partition(graph))
-    # rows of the quotient sum to the valency, so it bounds every root
-    bound = graph.degree
-    roots, residual = integer_roots(q.charpoly(), root_bound=bound)
-    if len(residual) != 1:
-        raise ArithmeticError("orbit quotient has a non-integer eigenvalue")
-    return sorted(roots, reverse=True)
-
-
-def derangement_spectrum(graph: DerangementGraph) -> Spectrum:
-    """Certified spectrum of the derangement graph on matchings of K_{2k}.
-
-    k <= 4 goes through exact kernel ranks.  k = 5 (945 vertices) uses
-    the modular annihilation certificate in :func:`certified_spectrum_945`.
-    """
-    k = graph.k
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if k > SPECTRUM_CAP:
-        raise CapExceeded("spectrum", k, SPECTRUM_CAP)
-    candidates = quotient_eigenvalue_candidates(graph)
-    if k <= 4:
-        return spectrum_from_candidates(graph.adjacency_matrix(), candidates)
-    return certified_spectrum_945(graph, candidates)
-
-
-# ---------------------------------------------------------------------------
-# modular certificate for the 945-vertex case
-
-
-def _primes_below(limit: int, count: int) -> list[int]:
-    out = []
-    p = limit
-    while len(out) < count:
-        p -= 1
-        if p < 2:
-            raise ValueError("ran out of primes")
-        if all(p % q for q in range(2, isqrt(p) + 1)):
-            out.append(p)
-    return out
-
-
-def certified_spectrum_945(graph: DerangementGraph, candidates: list[int]) -> Spectrum:
-    """Exact spectrum via an annihilation certificate and power sums.
-
-    Two facts are proved:
-
-    1. prod_j (A - c_j I) = 0 for the candidate list, checked modulo
-       enough primes that the Chinese remainder theorem pins the exact
-       integer matrix to zero (its entries are bounded by the product of
-       row-sum norms).  This shows every eigenvalue is on the list.
-    2. The multiplicities are read off the traces of A^0..A^m via the
-       Vandermonde system in the candidates, computed in exact integer
-       arithmetic from A^2 and A^3.
-
-    numpy float64 matrix products are used only where every intermediate
-    value is provably below 2^53, i.e. as exact integer arithmetic.
-    """
-    import numpy as np
-
     n = graph.n_vertices
-    d = graph.degree
+    if partition.masks[0].bit_count() != 1:
+        raise ValueError("the first cell must hold exactly the base vertex")
+    base = partition.masks[0].bit_length() - 1
+    b = [[int(x) for x in row] for row in quotient_matrix(graph, partition).rows]
+    for phi in automorphisms:
+        if not is_automorphism(graph.rows, phi):
+            raise ValueError("a vertex permutation does not preserve adjacency")
+    orbit = {base}
+    todo = [base]
+    while todo:
+        v = todo.pop()
+        for phi in automorphisms:
+            if phi[v] not in orbit:
+                orbit.add(phi[v])
+                todo.append(phi[v])
+    if len(orbit) != n:
+        raise ValueError(
+            f"the permutations carry the base vertex to {len(orbit)} of {n} vertices"
+        )
+
+    def times_b(v: list[int]) -> list[int]:
+        return [sum(x * y for x, y in zip(row, v)) for row in b]
+
+    f0 = [1] + [0] * (len(b) - 1)
     cand = sorted(set(candidates), reverse=True)
     m = len(cand)
+    v = f0
+    for c in cand:
+        v = [x - c * y for x, y in zip(times_b(v), v)]
+    if any(v):
+        raise ArithmeticError(
+            "annihilation certificate failed: candidate eigenvalue list is incomplete"
+        )
+    traces = []
+    w = f0
+    for _ in range(max(m, 7)):
+        traces.append(n * w[0])
+        w = times_b(w)
 
-    a = np.array(graph.adjacency_int_rows(), dtype=np.float64)
-
-    # power sums: entries of A^2 are at most n, of A^3 at most n*d, and the
-    # accumulating dot products stay far below 2^53, so float64 is exact
-    assert n * n < 2**53 and n * n * d < 2**53
-    a2 = a @ a
-    a3 = a2 @ a
-    a2i = a2.astype(np.int64)
-    a3i = a3.astype(np.int64)
-    assert int(a2i.max()) <= n and int(a3i.max()) <= n * d
-    tr = [0] * (2 * 3 + 1)
-    tr[0] = n
-    tr[1] = 0
-    tr[2] = int(np.trace(a2i))
-    tr[3] = int(np.trace(a3i))
-    # higher traces through Frobenius inner products of exact powers,
-    # carried out in python ints to dodge any int64 overflow question
-    l2 = a2i.tolist()
-    l3 = a3i.tolist()
-    tr[4] = sum(x * x for row in l2 for x in row)
-    tr[5] = sum(x * y for r2, r3 in zip(l2, l3) for x, y in zip(r2, r3))
-    tr[6] = sum(x * x for row in l3 for x in row)
-    if m > 7:
-        raise ArithmeticError("power-sum table too short for candidate count")
-
-    # Vandermonde solve in exact rationals
-    vrows = [[Fraction(c) ** e for c in cand] for e in range(m)]
-    res = solve(ExactMatrix(vrows), [Fraction(tr[e]) for e in range(m)])
+    vrows = [[c**e for c in cand] for e in range(m)]
+    res = solve(ExactMatrix(vrows), traces[:m])
     if res.solution is None:
         raise ArithmeticError("power-sum system is inconsistent")
     mults = []
@@ -228,39 +147,53 @@ def certified_spectrum_945(graph: DerangementGraph, candidates: list[int]) -> Sp
         mults.append(int(f))
     if sum(mults) != n:
         raise ArithmeticError("multiplicities do not sum to the vertex count")
-    for e in range(m, 7):
-        if sum(mu * c**e for mu, c in zip(mults, cand)) != tr[e]:
+    for e in range(m, len(traces)):
+        if sum(mu * c**e for mu, c in zip(mults, cand)) != traces[e]:
             raise ArithmeticError(f"trace of power {e} mismatches the spectrum")
-
-    # annihilation certificate: entries of prod (A - c I) are bounded by the
-    # product of row-sum norms; CRT over primes whose product exceeds twice
-    # the bound proves the exact product is the zero matrix
-    bound = 1
-    for c in cand:
-        bound *= d + abs(c)
-    need = 2 * bound + 1
-    plimit = isqrt(2**53 // n) + 1
-    primes: list[int] = []
-    prod = 1
-    limit = plimit
-    while prod < need:
-        p = _primes_below(limit, 1)[0]
-        primes.append(p)
-        prod *= p
-        limit = p
-    for p in primes:
-        assert n * (p - 1) ** 2 < 2**53
-        acc = np.mod(a - cand[0] * np.identity(n), p)
-        for c in cand[1:]:
-            acc = np.mod(acc @ np.mod(a - c * np.identity(n), p), p)
-        if acc.any():
-            raise ArithmeticError(
-                f"annihilation certificate failed modulo {p}: "
-                "candidate eigenvalue list is incomplete"
-            )
-
     eigs = tuple((c, mu) for c, mu in zip(cand, mults) if mu)
     return Spectrum(n=n, eigenvalues=eigs)
+
+
+def quotient_eigenvalue_candidates(graph, partition: VertexPartition) -> list[int]:
+    """Distinct integer eigenvalues of an equitable quotient.
+
+    Every eigenvalue of the quotient is one of the graph; when the first
+    cell is a single vertex of a vertex-transitive graph, every eigenvalue
+    of the graph is one of the quotient, so none is missed unless the
+    quotient has a non-integer root, which raises.
+    """
+    q = quotient_matrix(graph, partition)
+    # rows of the quotient sum to the valency, so it bounds every root
+    roots, residual = integer_roots(q.charpoly(), root_bound=graph.degree)
+    if len(residual) != 1:
+        raise ArithmeticError("quotient has a non-integer eigenvalue")
+    return sorted(roots, reverse=True)
+
+
+def _point_generators(points: int) -> list[tuple[int, ...]]:
+    """(0 1) and (0 1 ... points-1), which generate the symmetric group."""
+    return [(1, 0) + tuple(range(2, points)), tuple(range(1, points)) + (0,)]
+
+
+def derangement_spectrum(graph: DerangementGraph) -> Spectrum:
+    """Certified spectrum of the derangement graph on matchings of K_{2k}.
+
+    The union-cycle-type partition around the base matching is the
+    quotient, and the point relabellings (0 1) and (0 1 ... 2k-1) carry
+    the base matching everywhere.
+    """
+    k = graph.k
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
+    if k > SPECTRUM_CAP:
+        raise CapExceeded("spectrum", k, SPECTRUM_CAP)
+    partition = orbit_partition(graph)
+    relabellings = [
+        induced_vertex_permutation(graph, sigma, verify=False)
+        for sigma in _point_generators(2 * k)
+    ]
+    candidates = quotient_eigenvalue_candidates(graph, partition)
+    return certified_spectrum(graph, partition, relabellings, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +218,29 @@ def kneser_eigenvalues(n: int, k: int) -> Spectrum:
 
 
 def kneser_spectrum_direct(n: int, k: int) -> Spectrum:
-    """Spectrum of the same graph measured on the adjacency matrix itself.
+    """Spectrum of the same graph proved on its adjacency rows.
 
-    Small cases factor the characteristic polynomial; larger ones certify
-    the closed-form candidate values by kernel ranks, which is still an
-    independent completeness proof (the dimensions must exhaust C(n,k)).
+    The cells hold the subsets by their intersection size with the base
+    subset {0, ..., k-1}, and the candidates are the roots of that
+    quotient, so nothing is taken from the closed form it is checked
+    against.
     """
     g = KneserGraph(n, k)
-    a = g.adjacency_matrix()
-    if g.n_vertices <= 36:
-        return integer_spectrum(a, root_bound=g.degree)
-    candidates = [v for v, _ in kneser_eigenvalues(n, k).eigenvalues]
-    return spectrum_from_candidates(a, candidates)
+    meets = [sum(x < k for x in s) for s in g.subsets]
+    sizes = sorted(set(meets), reverse=True)
+    partition = VertexPartition(
+        labels=tuple(f"meets base in {t}" for t in sizes),
+        masks=tuple(
+            sum(1 << i for i, t in enumerate(meets) if t == size) for size in sizes
+        ),
+    )
+    index = {s: i for i, s in enumerate(g.subsets)}
+    relabellings = [
+        [index[tuple(sorted(sigma[x] for x in s))] for s in g.subsets]
+        for sigma in _point_generators(n)
+    ]
+    candidates = quotient_eigenvalue_candidates(g, partition)
+    return certified_spectrum(g, partition, relabellings, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +553,15 @@ __all__ = [
     "Spectrum",
     "TightnessCertificate",
     "TraceSquareReport",
-    "certified_spectrum_945",
+    "certified_spectrum",
     "character_sum_eigenvalue",
     "derangement_class_counts",
     "derangement_spectrum",
-    "eigenvalue_multiplicity",
-    "integer_spectrum",
     "kneser_eigenvalues",
     "kneser_spectrum_direct",
     "module_labeling",
     "quotient_eigenvalue_candidates",
     "ratio_bound",
     "ratio_tightness_certificate",
-    "spectrum_from_candidates",
     "trace_square_check",
 ]

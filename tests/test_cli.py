@@ -124,7 +124,7 @@ ARGUMENTS = [
     (("spectra", "--n", "30", "--k", "3"), 3),
     (("spectra", "--n", str(10**18), "--k", str(10**17)), 3),
     (("counts", "--max-k", str(10**18)), 3),
-    (("counts", "--k", "1"), 1),
+    (("counts", "--k", "1"), 0),
     (("graph", "--k", "1"), 0),
     (("ekr", "--k", "2"), 0),
     (("polytope", "--k", "2"), 0),
@@ -132,6 +132,7 @@ ARGUMENTS = [
     (("reps", "--n", "13"), 0),
     (("spectra", "--n", "6", "--k", "2"), 0),
     (("all", "--k", "2"), 1),
+    (("spectra", "--n", "12", "--k", "4"), 0),
 ]
 
 
@@ -206,6 +207,19 @@ def test_all_builds_each_graph_and_incidence_once(monkeypatch, capsys):
     assert run_cli(capsys, "all", "--format", "json")[0] == 1
     assert sorted(graphs) == [2, 3, 4]
     assert sorted(incidences) == [2, 3, 4]
+
+
+def test_all_runs_each_coclique_search_once(monkeypatch, capsys):
+    searched = []
+    search = cli.enumerate_maximum_cocliques
+
+    def counted_search(graph):
+        searched.append(graph.k)
+        return search(graph)
+
+    monkeypatch.setattr(cli, "enumerate_maximum_cocliques", counted_search)
+    assert run_cli(capsys, "all", "--format", "json")[0] == 1
+    assert sorted(searched) == [2, 3, 4]
 
 
 def test_json_format_parses(capsys):
@@ -290,3 +304,18 @@ def test_entry_point_via_module(capsys):
     )
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+def test_spectra_loads_no_numpy():
+    import subprocess
+    import sys
+
+    script = (
+        "import os, sys\n"
+        "from pmdg.cli import run\n"
+        "code = run(['spectra', '--k', '5', '--out', os.devnull])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

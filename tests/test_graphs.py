@@ -92,7 +92,6 @@ def test_adjacency_agrees_with_rows():
     assert a.is_symmetric()
     for i in range(g.n_vertices):
         assert sum(a.rows[i]) == g.degree
-    assert g.adjacency_int_rows() == [[int(x) for x in row] for row in a.rows]
 
 
 def test_m4_is_a_triangle():

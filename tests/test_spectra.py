@@ -1,34 +1,39 @@
 """Spectra: exact eigenvalues, multiplicities, labelings, bounds.
 
-Frozen spectra here were certified by two independent routes inside the
-package (kernel ranks against quotient candidates, and for the largest
-case a modular annihilation certificate); the tests below re-derive the
-cheap ones and pin every route to the same frozen values.
+Every spectrum in the package is proved by one certificate, walks from
+the base vertex in a verified equitable quotient.  The tests below check
+it against exact kernel ranks of the full adjacency matrix, exercise
+each premise it must reject, and pin the spectra to frozen values.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from pmdg.cayley import induced_vertex_permutation
 from pmdg.exact import ExactMatrix
-from pmdg.graphs import KneserGraph, build_graph
+from pmdg.graphs import (
+    KneserGraph,
+    PartitionNotEquitable,
+    VertexPartition,
+    build_graph,
+    orbit_partition,
+)
 from pmdg.matchings import CapExceeded, double_factorial, matching_count
 from pmdg.partitions import Partition
 from pmdg.spectra import (
     Spectrum,
-    certified_spectrum_945,
+    certified_spectrum,
     character_sum_eigenvalue,
     derangement_class_counts,
     derangement_spectrum,
-    eigenvalue_multiplicity,
-    integer_spectrum,
     kneser_eigenvalues,
     kneser_spectrum_direct,
     module_labeling,
     quotient_eigenvalue_candidates,
     ratio_bound,
     ratio_tightness_certificate,
-    spectrum_from_candidates,
     trace_square_check,
 )
 
@@ -55,43 +60,91 @@ def test_char_poly_of_quotient():
     assert ExactMatrix([[0, 8], [2, 6]]).charpoly() == [-16, -6, 1]
 
 
-def test_integer_spectrum_small_graphs():
-    k4 = ExactMatrix([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
-    assert integer_spectrum(k4).eigenvalues == ((3, 1), (-1, 3))
-    c4 = ExactMatrix([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
-    assert integer_spectrum(c4).eigenvalues == ((2, 1), (0, 2), (-2, 1))
+TRANSPOSITION = (1, 0, 2, 3, 4, 5)
+ROTATION = (1, 2, 3, 4, 5, 0)
+KNESER_PAIRS = [(n, k) for k in (1, 2, 3) for n in range(2 * k, 10)]
 
 
-def test_integer_spectrum_rejects_irrational():
-    path3 = ExactMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # eigenvalues 0, +-sqrt(2)
-    with pytest.raises(ArithmeticError):
-        integer_spectrum(path3)
+def _relabellings(g, sigmas=(TRANSPOSITION, ROTATION)):
+    return [induced_vertex_permutation(g, s, verify=False) for s in sigmas]
 
 
-def test_eigenvalue_multiplicity():
-    a = build_graph(3).adjacency_matrix()
-    assert eigenvalue_multiplicity(a, 8) == 1
-    assert eigenvalue_multiplicity(a, 2) == 5
-    assert eigenvalue_multiplicity(a, -2) == 9
-    assert eigenvalue_multiplicity(a, 3) == 0
+def _kernel_dimension(a: ExactMatrix, value: int) -> int:
+    return a.nrows - a.add_scalar_diagonal(-value).rank()
 
 
-def test_spectrum_from_candidates_error_paths():
-    a = build_graph(3).adjacency_matrix()
-    s = spectrum_from_candidates(a, [8, 2, -2])
-    assert s == M6
-    with pytest.raises(ArithmeticError):
-        spectrum_from_candidates(a, [8, 2, -2, 7])  # 7 has multiplicity zero
-    with pytest.raises(ArithmeticError):
-        spectrum_from_candidates(a, [8, 2])  # multiplicities cannot reach n
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_multiplicities_match_kernel_ranks(k):
+    g = build_graph(k)
+    a = g.adjacency_matrix()
+    for value, mult in derangement_spectrum(g).eigenvalues:
+        assert mult == _kernel_dimension(a, value)
+
+
+def test_kneser_multiplicities_match_kernel_ranks():
+    for n, k in KNESER_PAIRS:
+        a = KneserGraph(n, k).adjacency_matrix()
+        for value, mult in kneser_spectrum_direct(n, k).eigenvalues:
+            assert mult == _kernel_dimension(a, value), (n, k, value)
+
+
+def test_certificate_rejects_first_cell_without_the_base_alone():
+    g = build_graph(3)
+    part = orbit_partition(g)
+    merged = VertexPartition(
+        labels=("merged",) + part.labels[2:],
+        masks=(part.masks[0] | part.masks[1],) + part.masks[2:],
+    )
+    with pytest.raises(ValueError, match="first cell"):
+        certified_spectrum(g, merged, _relabellings(g), [8, 2, -2])
+
+
+def test_certificate_rejects_non_equitable_partition():
+    g = build_graph(3)
+    full = (1 << g.n_vertices) - 1
+    part = VertexPartition(
+        labels=("base", "low", "high"), masks=(1, 0b11110, full ^ 0b11111)
+    )
+    with pytest.raises(PartitionNotEquitable):
+        certified_spectrum(g, part, _relabellings(g), [8, 2, -2])
+
+
+def test_certificate_rejects_a_non_automorphism():
+    g = build_graph(3)
+    phi = list(range(g.n_vertices))
+    phi[0], phi[1] = phi[1], phi[0]
+    with pytest.raises(ValueError, match="preserve adjacency"):
+        certified_spectrum(g, orbit_partition(g), _relabellings(g) + [phi], [8, 2, -2])
+
+
+def test_certificate_rejects_an_orbit_that_misses_vertices():
+    # (0 1) fixes the base matching {01, 23, 45}
+    g = build_graph(3)
+    with pytest.raises(ValueError, match="to 1 of 15 vertices"):
+        certified_spectrum(
+            g, orbit_partition(g), _relabellings(g, [TRANSPOSITION]), [8, 2, -2]
+        )
+
+
+def test_certificate_rejects_irrational_eigenvalues():
+    # the 5-cycle has eigenvalues 2 and (-1 +- sqrt 5)/2, so no list of
+    # integer candidates annihilates the walks from its base vertex
+    rows = [(1 << (i + 1) % 5) | (1 << (i - 1) % 5) for i in range(5)]
+    c5 = SimpleNamespace(rows=rows, n_vertices=5)
+    part = VertexPartition(labels=("0", "1", "2"), masks=(0b00001, 0b10010, 0b01100))
+    rotation = [1, 2, 3, 4, 0]
+    with pytest.raises(ArithmeticError, match="annihilation"):
+        certified_spectrum(c5, part, [rotation], [2, 1, 0, -1, -2])
 
 
 def test_quotient_candidates_cover_spectrum():
-    assert quotient_eigenvalue_candidates(build_graph(3)) == [8, 2, -2]
-    c4 = quotient_eigenvalue_candidates(build_graph(4))
-    assert set(c4) == {60, 5, 2, -3, -10}
-    c5 = quotient_eigenvalue_candidates(build_graph(5))
-    assert set(c5) == {544, 12, 4, -2, -6, -68}
+    def candidates(k):
+        g = build_graph(k)
+        return quotient_eigenvalue_candidates(g, orbit_partition(g))
+
+    assert candidates(3) == [8, 2, -2]
+    assert set(candidates(4)) == {60, 5, 2, -3, -10}
+    assert set(candidates(5)) == {544, 12, 4, -2, -6, -68}
 
 
 def test_derangement_spectrum_small():
@@ -112,8 +165,12 @@ def test_spectrum_m10_certified():
 
 def test_certified_route_rejects_bad_candidates():
     g = build_graph(5)
-    with pytest.raises(ArithmeticError):
-        certified_spectrum_945(g, [544, 12, 4, -2, -6])  # -68 missing
+    sigmas = [(1, 0) + tuple(range(2, 10)), tuple(range(1, 10)) + (0,)]
+    with pytest.raises(ArithmeticError, match="annihilation"):
+        # -68 missing
+        certified_spectrum(
+            g, orbit_partition(g), _relabellings(g, sigmas), [544, 12, 4, -2, -6]
+        )
 
 
 @pytest.mark.parametrize("spec,k", [(M6, 3), (M8, 4), (M10, 5)])
@@ -140,9 +197,8 @@ def test_third_moment_counts_triangles():
 
 
 def test_kneser_closed_form_matches_direct_everywhere():
-    for k in (1, 2, 3):
-        for n in range(2 * k, 10):
-            assert kneser_eigenvalues(n, k) == kneser_spectrum_direct(n, k)
+    for n, k in KNESER_PAIRS:
+        assert kneser_eigenvalues(n, k) == kneser_spectrum_direct(n, k)
 
 
 def test_petersen_spectrum():
