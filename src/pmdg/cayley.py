@@ -11,7 +11,8 @@ the symmetric group on 2k points has order divisible by both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from math import factorial, isqrt, lcm
 
 from .graphs import DerangementGraph, is_automorphism
@@ -263,6 +264,8 @@ class VerdictLink:
     statement: str
     status: str  # "pass", "fail", or "cited"
     witness: str
+    # the wall time of this link's own computation; not part of its content
+    elapsed_ms: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -280,113 +283,105 @@ def non_cayley_verdict(k: int, graph: DerangementGraph | None) -> NonCayleyVerdi
     any pair of primes dividing the order) are emitted with status
     "cited" so the report never pretends to have proved them.  The
     automorphism search needs the graph for k <= 4; above that the
-    search is capped, the link is cited and ``graph`` may be None.
+    search is capped, the link is cited and ``graph`` may be None.  Each
+    link carries the milliseconds spent computing it since the previous
+    link was added.
     """
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
     if k <= 4 and graph is None:
         raise ValueError(f"the automorphism search at k={k} needs the graph")
     links: list[VerdictLink] = []
+    last = time.monotonic()
+
+    def add(**fields) -> None:
+        nonlocal last
+        now = time.monotonic()
+        links.append(VerdictLink(**fields, elapsed_ms=int((now - last) * 1000)))
+        last = now
+
     n = matching_count(k)
-    links.append(
-        VerdictLink(
-            link="odd-vertex-count",
-            statement=f"the vertex count (2k-1)!! = {n} is odd",
-            status="pass" if n % 2 == 1 else "fail",
-            witness=str(n),
-        )
+    add(
+        link="odd-vertex-count",
+        statement=f"the vertex count (2k-1)!! = {n} is odd",
+        status="pass" if n % 2 == 1 else "fail",
+        witness=str(n),
     )
     pair = prime_pair(k)
     p, q = pair.p, pair.q
-    links.append(
-        VerdictLink(
-            link="prime-pair",
-            statement=f"distinct primes {p} < {q} lie in [{k}, {2 * k})",
-            status="pass",
-            witness=f"({p}, {q}); p + q = {p + q} > {2 * k}",
-        )
+    add(
+        link="prime-pair",
+        statement=f"distinct primes {p} < {q} lie in [{k}, {2 * k})",
+        status="pass",
+        witness=f"({p}, {q}); p + q = {p + q} > {2 * k}",
     )
-    links.append(
-        VerdictLink(
-            link="regular-subgroup-order",
-            statement=(
-                "a group acting regularly on the vertices would have odd order "
-                f"{n}, divisible by both {p} and {q}"
-            ),
-            status="pass" if n % p == 0 and n % q == 0 else "fail",
-            witness=f"{n} = {p} * {n // p} = {q} * {n // q}",
-        )
+    add(
+        link="regular-subgroup-order",
+        statement=(
+            "a group acting regularly on the vertices would have odd order "
+            f"{n}, divisible by both {p} and {q}"
+        ),
+        status="pass" if n % p == 0 and n % q == 0 else "fail",
+        witness=f"{n} = {p} * {n // p} = {q} * {n // q}",
     )
-    links.append(
-        VerdictLink(
-            link="odd-order-solvable",
-            statement="every group of odd order is solvable",
-            status="cited",
-            witness="classical result, not re-proved here",
-        )
+    add(
+        link="odd-order-solvable",
+        statement="every group of odd order is solvable",
+        status="cited",
+        witness="classical result, not re-proved here",
     )
-    links.append(
-        VerdictLink(
-            link="hall-subgroup",
-            statement=(
-                f"a solvable group of order divisible by {p}*{q} has a subgroup "
-                f"of order {p * q}"
-            ),
-            status="cited",
-            witness="classical result, not re-proved here",
-        )
+    add(
+        link="hall-subgroup",
+        statement=(
+            f"a solvable group of order divisible by {p}*{q} has a subgroup "
+            f"of order {p * q}"
+        ),
+        status="cited",
+        witness="classical result, not re-proved here",
     )
     cyclic_ok = q % p != 1
-    links.append(
-        VerdictLink(
-            link="order-pq-cyclic",
-            statement=(
-                f"every group of order {p}*{q} is cyclic because {p} does not "
-                f"divide {q} - 1"
-            ),
-            status="pass" if cyclic_ok else "fail",
-            witness=f"{q} - 1 = {q - 1}, remainder {(q - 1) % p} mod {p}",
-        )
+    add(
+        link="order-pq-cyclic",
+        statement=(
+            f"every group of order {p}*{q} is cyclic because {p} does not "
+            f"divide {q} - 1"
+        ),
+        status="pass" if cyclic_ok else "fail",
+        witness=f"{q} - 1 = {q - 1}, remainder {(q - 1) % p} mod {p}",
     )
     ok, scanned = no_cyclic_pq_element(k, p, q)
-    links.append(
-        VerdictLink(
-            link="no-order-pq-element",
-            statement=(
-                f"no cycle type of Sym({2 * k}) has order divisible by {p * q}; "
-                f"both primes exceed half of 2k, so any element of order {p} "
-                f"or {q} would be a single cycle"
-            ),
-            status="pass" if ok else "fail",
-            witness=f"scanned {scanned} cycle types",
-        )
+    add(
+        link="no-order-pq-element",
+        statement=(
+            f"no cycle type of Sym({2 * k}) has order divisible by {p * q}; "
+            f"both primes exceed half of 2k, so any element of order {p} "
+            f"or {q} would be a single cycle"
+        ),
+        status="pass" if ok else "fail",
+        witness=f"scanned {scanned} cycle types",
     )
     if k <= 4:
         order = derangement_automorphism_order(graph)
         expect = factorial(2 * k)
-        links.append(
-            VerdictLink(
-                link="automorphism-group",
-                statement=(
-                    "the automorphism group is point relabelling only, "
-                    f"of order (2k)! = {expect}"
-                ),
-                status="pass" if order == expect else "fail",
-                witness=f"search found {order}",
-            )
+        add(
+            link="automorphism-group",
+            statement=(
+                "the automorphism group is point relabelling only, "
+                f"of order (2k)! = {expect}"
+            ),
+            status="pass" if order == expect else "fail",
+            witness=f"search found {order}",
         )
     else:
-        links.append(
-            VerdictLink(
-                link="automorphism-group",
-                statement=(
-                    "the automorphism group is point relabelling only "
-                    "(search is capped at k <= 4, so this step rests on the "
-                    "coclique-to-line-graph identification)"
-                ),
-                status="cited",
-                witness=f"k = {k} exceeds the search cap",
-            )
+        add(
+            link="automorphism-group",
+            statement=(
+                "the automorphism group is point relabelling only "
+                "(search is capped at k <= 4, so this step rests on the "
+                "coclique-to-line-graph identification)"
+            ),
+            status="cited",
+            witness=f"k = {k} exceeds the search cap",
         )
     all_pass = all(l.status in ("pass", "cited") for l in links)
     return NonCayleyVerdict(k=k, links=tuple(links), is_cayley_possible=not all_pass)

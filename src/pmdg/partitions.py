@@ -56,17 +56,56 @@ class Partition(tuple):
 def iter_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield partitions of n as bare tuples in reverse-lexicographic order.
 
-    Streaming form used by large scans (cycle types of Sym(2k) up to
-    2k = 60) where materialising the full list would be wasteful.
+    Parts are at most ``max_part`` (default n).  n == 0 yields ``()``;
+    negative n, or max_part < 1 with n > 0, yields nothing.  Streaming
+    form used by large scans (cycle types of Sym(2k) up to 2k = 60).
+
+    This is algorithm ZS1 (Zoghbi & Stojmenovic, "Fast algorithms for
+    generating integer partitions", 1998): one list edited in place, where
+    each step lowers the last part above 1 and redistributes the units
+    behind it as greedily as possible.  The order is fixed, not incidental:
+    ``partitions_of`` and the order of report rows depend on it.
     """
     if max_part is None or max_part > n:
         max_part = n
     if n == 0:
         yield ()
         return
-    for first in range(max_part, 0, -1):
-        for rest in iter_partitions(n - first, first):
-            yield (first,) + rest
+    if max_part < 1:
+        return
+    whole, rest = divmod(n, max_part)
+    # a[:m] is the partition, a[h] its last part above 1 (h = -1: none);
+    # every entry from m on is 1, so a trailing unit needs no write
+    a = [max_part] * whole + [1] * (n - whole)
+    m = whole
+    if rest:
+        a[m] = rest
+        m += 1
+    h = m - 1
+    while h >= 0 and a[h] == 1:
+        h -= 1
+    yield tuple(a[:m])
+    while h >= 0:
+        if a[h] == 2:
+            a[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = a[h] - 1
+            t = m - h
+            a[h] = r
+            while t >= r:
+                h += 1
+                a[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    a[h] = t
+        yield tuple(a[:m])
 
 
 def partitions_of(n: int) -> list[Partition]:

@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 import networkx as nx
 import pytest
@@ -19,6 +19,8 @@ from pmdg.cayley import (
 )
 from pmdg.graphs import CapExceeded, build_graph
 from pmdg.partitions import partition_count
+
+from test_partitions import recursive_partitions
 
 
 def rows_from_edges(n, edges):
@@ -139,6 +141,20 @@ def test_pq_scan_detects_a_planted_hit():
     # (3,5) is unusable at k=4 and the scan must say so
     with pytest.raises(ArithmeticError):
         no_cyclic_pq_element(4, 3, 5)
+
+
+@pytest.mark.parametrize("k, p, q", [(4, 3, 5), (12, 5, 7), (30, 29, 31)])
+def test_pq_scan_names_the_oracle_first_hit(k, p, q):
+    # unusable pairs: the first cycle type hit, in generation order, is the
+    # one the recursive oracle generator reaches first
+    first = next(
+        parts for parts in recursive_partitions(2 * k) if lcm(*parts) % (p * q) == 0
+    )
+    with pytest.raises(ArithmeticError) as info:
+        no_cyclic_pq_element(k, p, q)
+    assert str(info.value) == (
+        f"cycle type {first} of Sym({2 * k}) has order divisible by {p * q}"
+    )
 
 
 def test_induced_vertex_permutation_identity():

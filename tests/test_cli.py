@@ -151,7 +151,7 @@ def _check_exit(tmp_path, argv):
     # a usage error or a cap writes no report, and a report is never empty
     assert target.exists() == (code in (0, 1))
     if code in (0, 1):
-        assert "0 pass, 0 fail, 0 skipped" not in target.read_text()
+        assert target.read_text().splitlines()[-1] != "0 pass, 0 fail, 0 skipped"
     return code
 
 
@@ -253,6 +253,29 @@ def test_timings_flag_changes_only_elapsed(capsys):
     assert [r["claim"] for r in json.loads(out2)] == claims
 
 
+def test_timings_charge_the_scan_to_its_own_link(capsys, monkeypatch):
+    import time
+
+    from pmdg import cayley
+
+    real_scan = cayley.no_cyclic_pq_element
+
+    def slow_scan(k, p, q):
+        time.sleep(0.3)
+        return real_scan(k, p, q)
+
+    monkeypatch.setattr(cayley, "no_cyclic_pq_element", slow_scan)
+    code, out, _ = run_cli(capsys, "cayley", "--k", "5", "--format", "json", "--timings")
+    assert code == 0
+    ms = {r["claim"]: r["elapsed_ms"] for r in json.loads(out)}
+    assert ms["cayley-no-order-pq-element"] >= 300
+    others = sum(v for claim, v in ms.items() if claim != "cayley-no-order-pq-element")
+    assert others < 300
+    # without --timings every record still reads zero
+    code, out, _ = run_cli(capsys, "cayley", "--k", "5", "--format", "json")
+    assert all(r["elapsed_ms"] == 0 for r in json.loads(out))
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "counts", "--k", "3", "--format", "json", "--out", str(target))
@@ -304,6 +327,25 @@ def test_entry_point_via_module(capsys):
     )
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+def test_closed_pipe_exits_with_the_report_code():
+    import os
+    import subprocess
+    import sys
+
+    # a pipe whose only reader is gone before pmdg writes a byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmdg", "cayley", "--k", "10"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode in (0, 1)
 
 
 def test_spectra_loads_no_numpy():

@@ -1,8 +1,9 @@
-"""Partition container and generators against an independent counting oracle.
+"""Partition container and generators against independent oracles.
 
 The oracle for p(n) is Euler's pentagonal number recurrence, which shares
 no code with either the generator or the part-bounded recurrence in the
-package.
+package.  The oracle for the order is the recursive generator that the
+iterative one replaced.
 """
 
 import pytest
@@ -29,6 +30,18 @@ def pentagonal_count(n: int) -> int:
             j += 1
         p.append(total)
     return p[n]
+
+
+def recursive_partitions(n, max_part=None):
+    """The generator iter_partitions replaced: largest part first, recursing."""
+    if max_part is None or max_part > n:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(max_part, 0, -1):
+        for rest in recursive_partitions(n - first, first):
+            yield (first,) + rest
 
 
 def test_pentagonal_oracle_known_values():
@@ -68,6 +81,33 @@ def test_iter_partitions_max_part():
     got = list(iter_partitions(5, 2))
     assert got == [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
     assert list(iter_partitions(0)) == [()]
+
+
+@pytest.mark.parametrize("n", range(-2, 31))
+def test_iter_partitions_matches_recursive_oracle(n):
+    full = list(recursive_partitions(n))
+    assert list(iter_partitions(n)) == full
+    for max_part in range(-1, n + 2):
+        # the oracle's outer loop runs the first part down from max_part, so
+        # its bounded output is its full order filtered by the first part;
+        # that is checked directly where the bounded calls are cheap
+        expected = [p for p in full if not p or p[0] <= max_part]
+        if n <= 20:
+            assert list(recursive_partitions(n, max_part)) == expected
+        assert list(iter_partitions(n, max_part)) == expected
+
+
+def test_iter_partitions_order_at_sixty():
+    n = 60
+    count = 0
+    prev = (n + 1,)
+    for parts in iter_partitions(n):
+        # strictly below the previous one, non-increasing, summing to n
+        assert prev > parts and list(parts) == sorted(parts, reverse=True)
+        assert sum(parts) == n
+        prev = parts
+        count += 1
+    assert count == partition_count(n)
 
 
 def test_canonical_descending_form():
